@@ -13,7 +13,10 @@
 //! - the duplex transport bounds the TCP overhead: the artifact records
 //!   the wall-clock ratio so the socket tax is tracked over time.
 
-use pipellm_net::{run_duplex, run_tcp_threads, NetPipelineSpec, NetReport};
+use pipellm_net::{
+    run_supervised_duplex, run_supervised_tcp_threads, NetPipelineSpec, NetReport,
+    SupervisedOptions, SupervisedReport,
+};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -60,10 +63,12 @@ pub fn spec_for(stages: u32, smoke: bool) -> NetPipelineSpec {
 
 fn measure<F>(run: F, spec: &NetPipelineSpec) -> (NetReport, NetRow)
 where
-    F: FnOnce(&NetPipelineSpec) -> pipellm_net::NetResult<NetReport>,
+    F: FnOnce(&NetPipelineSpec, &SupervisedOptions) -> pipellm_net::NetResult<SupervisedReport>,
 {
     let start = Instant::now();
-    let report = run(spec).expect("deployment run must complete");
+    let report = run(spec, &SupervisedOptions::default())
+        .expect("deployment run must complete")
+        .net;
     let wall = start.elapsed();
     let served = u64::from(spec.iterations) * u64::from(spec.micro_batches);
     let row = NetRow {
@@ -86,8 +91,8 @@ pub fn run(stage_counts: &[u32], smoke: bool) -> Vec<NetRow> {
     let mut rows = Vec::new();
     for &stages in stage_counts {
         let spec = spec_for(stages, smoke);
-        let (_, duplex) = measure(run_duplex, &spec);
-        let (_, tcp) = measure(run_tcp_threads, &spec);
+        let (_, duplex) = measure(run_supervised_duplex, &spec);
+        let (_, tcp) = measure(run_supervised_tcp_threads, &spec);
         assert_eq!(
             duplex.output_digest, tcp.output_digest,
             "transports disagree at {stages} stages"

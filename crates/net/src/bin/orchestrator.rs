@@ -9,19 +9,17 @@
 //! pipellm-orchestrator --listen 127.0.0.1:7070 --stages 4 [--layers 8]
 //!     [--iterations 2] [--micro-batches 2] [--activation-bytes 4096]
 //!     [--seed 0x9e3779b9] [--fault-rate 0.0] [--worker-fault-rate 0.0]
-//!     [--chaos-seed 0xC0A5] [--supervised]
+//!     [--chaos-seed 0xC0A5]
 //! ```
 //!
-//! With `--supervised`, the orchestrator runs the heartbeat/failover
-//! supervision layer: workers stream heartbeats, a SIGKILLed worker is
-//! detected by deadline, and an externally respawned replacement (a
-//! `stage-worker` restarted with `--generation <n>`) is readmitted,
-//! handed the latest sealed checkpoint, and every adjacent edge is
-//! force-rekeyed — the run completes bit-identical to its fault-free
-//! reference. Heartbeat and deadline tuning comes from `PIPELLM_*`
+//! Every run is supervised: workers stream heartbeats, a SIGKILLed
+//! worker is detected by deadline, and an externally respawned
+//! replacement (a `stage-worker` restarted with `--generation <n>`) is
+//! readmitted, handed the latest sealed checkpoint, and every adjacent
+//! edge is force-rekeyed — the run completes bit-identical to its
+//! fault-free reference. Heartbeat and deadline tuning comes from `PIPELLM_*`
 //! environment variables ([`pipellm_net::NetTuning::from_env`]).
 
-use pipellm_net::orchestrator::serve_tcp;
 use pipellm_net::{serve_supervised_tcp, NetPipelineSpec, NetTuning, SupervisedOptions};
 use std::net::TcpListener;
 use std::process::ExitCode;
@@ -73,40 +71,31 @@ fn run() -> Result<(), String> {
     if let Some(v) = arg_value(&args, "--worker-fault-rate") {
         spec.worker_fault_rate = v.parse().map_err(|_| format!("not a rate: {v}"))?;
     }
-    let supervised = args.iter().any(|a| a == "--supervised");
     spec.validate().map_err(|e| e.to_string())?;
 
     let listener = TcpListener::bind(&listen).map_err(|e| format!("bind {listen}: {e}"))?;
     eprintln!(
-        "orchestrator: listening on {listen}, {} stages x {} layers, {} iterations x {} micro-batches{}",
-        spec.stages,
-        spec.layers,
-        spec.iterations,
-        spec.micro_batches,
-        if supervised { ", supervised" } else { "" },
+        "orchestrator: listening on {listen}, {} stages x {} layers, {} iterations x {} micro-batches",
+        spec.stages, spec.layers, spec.iterations, spec.micro_batches,
     );
     let expected = spec.expected_outputs();
-    let report = if supervised {
-        let options = SupervisedOptions {
-            tuning: NetTuning::from_env(),
-            ..SupervisedOptions::default()
-        };
-        let sup = serve_supervised_tcp(&spec, &options, listener).map_err(|e| e.to_string())?;
-        println!(
-            "orchestrator: supervision heartbeats {}, detections {}, failovers {}, barriers {}, checkpoints {}, restores {}, stale-rejects {}, shed {}",
-            sup.stats.heartbeats,
-            sup.stats.detections,
-            sup.stats.failovers,
-            sup.stats.barriers,
-            sup.stats.checkpoints_stored,
-            sup.stats.restores_sent,
-            sup.stats.stale_rejects,
-            sup.stats.shed_sessions,
-        );
-        sup.net
-    } else {
-        serve_tcp(&spec, listener).map_err(|e| e.to_string())?
+    let options = SupervisedOptions {
+        tuning: NetTuning::from_env(),
+        ..SupervisedOptions::default()
     };
+    let sup = serve_supervised_tcp(&spec, &options, listener).map_err(|e| e.to_string())?;
+    println!(
+        "orchestrator: supervision heartbeats {}, detections {}, failovers {}, barriers {}, checkpoints {}, restores {}, stale-rejects {}, shed {}",
+        sup.stats.heartbeats,
+        sup.stats.detections,
+        sup.stats.failovers,
+        sup.stats.barriers,
+        sup.stats.checkpoints_stored,
+        sup.stats.restores_sent,
+        sup.stats.stale_rejects,
+        sup.stats.shed_sessions,
+    );
+    let report = sup.net;
     let bit_identical = report.outputs == expected;
     println!(
         "orchestrator: done. digest {:#018x}, relayed {}, retransmits {}, sentinels {}, reconnects {}, rekeys {}, lockstep {}, bit-identical {}",

@@ -41,6 +41,15 @@
 //! reconnect under [`pipellm_chaos::RetryPolicy`] plus an epoch bump on
 //! every adjacent edge so traffic resumes at fresh IVs — no counter of the
 //! dead connection is ever reused.
+//!
+//! # Deployment
+//!
+//! Every run goes through the one supervised drive loop of [`supervisor`]
+//! (heartbeat failure detection, live failover, admission control) over
+//! the relay core in [`orchestrator`]: [`run_supervised_duplex`] in
+//! process, [`run_supervised_tcp_threads`] over localhost sockets, and
+//! [`serve_supervised_tcp`] for real worker processes. The run's
+//! [`NetReport`] is [`SupervisedReport::net`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,7 +67,7 @@ pub mod transport;
 pub mod worker;
 
 pub use error::{NetError, NetResult};
-pub use orchestrator::{run_duplex, run_tcp_threads, serve_tcp, NetPipelineSpec, NetReport};
+pub use orchestrator::{NetPipelineSpec, NetReport};
 pub use proto::{NetTuning, PROTO_VERSION};
 pub use supervisor::{
     run_supervised_duplex, run_supervised_tcp_threads, serve_supervised_tcp, AdmissionQueue,

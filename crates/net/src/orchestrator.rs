@@ -15,27 +15,23 @@
 //! at 1, and the sending side retransmits everything unacknowledged —
 //! fresh keys, fresh IVs, no counter ever reused.
 //!
-//! [`run_duplex`] and [`run_tcp_threads`] stand up a complete deployment
-//! (orchestrator plus one thread per stage worker) on the in-process
-//! duplex transport and on real localhost TCP sockets respectively; the
-//! bit-exactness tests hold their outputs identical to each other and to
-//! the plain in-process computation.
+//! The one drive loop that sequences this core — handshake, supervised
+//! serve, drain, flush, audit — and the deployment harnesses live in
+//! [`crate::supervisor`]; the bit-exactness tests hold the duplex and TCP
+//! outputs identical to each other and to the plain in-process
+//! computation.
 
 use crate::error::{NetError, NetResult};
 use crate::link::{
-    empty_slot, install_sender, open_data, role_at, seal_and_send, send_on, EdgeCrypto, LinkTx,
-    RxOutcome, SenderSlot, WireEdge,
+    open_data, role_at, seal_and_send, send_on, EdgeCrypto, LinkTx, RxOutcome, SenderSlot, WireEdge,
 };
 use crate::proto::{
-    CounterReport, DataAck, DataFrame, EdgeCounterEntry, Msg, RekeyEdge, ShardManifest, Welcome,
-    ACCEPT_POLL, DIAL_RETRY, HOST_NODE, OP_TIMEOUT, POLL_INTERVAL, QUIET_WINDOW, RESEND_AFTER,
+    CounterReport, DataAck, DataFrame, EdgeCounterEntry, Msg, RekeyEdge, ShardManifest, DIAL_RETRY,
+    HOST_NODE, OP_TIMEOUT, POLL_INTERVAL, QUIET_WINDOW, RESEND_AFTER,
 };
-use crate::pump::{Pump, PumpEvent};
-use crate::transport::{
-    duplex_pair, DuplexActive, DuplexPassive, Reattach, TcpAcceptSlot, TcpDial, TcpTransport,
-    Transport,
-};
-use crate::worker::{run_worker, wire_retry_policy, WorkerConfig, WorkerLinks};
+use crate::pump::PumpEvent;
+use crate::transport::{Reattach, TcpDial, TcpTransport};
+use crate::worker::{wire_retry_policy, WorkerLinks};
 use pipellm::partition::{apply_stage, iteration_input, stage_weight_hash, StagePartition};
 use pipellm_chaos::{ChaosInjector, FaultPlan, RetryPolicy};
 use pipellm_crypto::session::derive_subseed;
@@ -63,8 +59,8 @@ pub struct NetPipelineSpec {
     /// disables chaos entirely.
     pub net_fault_rate: f64,
     /// Per-received-frame probability that a worker process abruptly dies
-    /// or hangs ([`pipellm_chaos::FaultSite::WorkerProcess`]); only a
-    /// supervised run survives a nonzero rate.
+    /// or hangs ([`pipellm_chaos::FaultSite::WorkerProcess`]); the
+    /// supervisor detects the death and fails the stage over.
     pub worker_fault_rate: f64,
     /// Seed of the fault plans (decorrelated per node).
     pub chaos_seed: u64,
@@ -183,17 +179,6 @@ impl NetPipelineSpec {
                 .with_stage_rate(worker_rate),
         )))
     }
-
-    pub(crate) fn worker_config(&self, stage: u32) -> WorkerConfig {
-        let mut config = WorkerConfig::new(stage);
-        config.policy = self.policy;
-        config.poll = self.poll;
-        config.op_timeout = self.op_timeout;
-        config.quiet = self.quiet;
-        config.resend_after = self.resend_after;
-        config.chaos = self.injector_for(stage);
-        config
-    }
 }
 
 /// Outcome of one networked pipeline run.
@@ -239,19 +224,6 @@ pub fn digest_outputs(outputs: &[Vec<u8>]) -> u64 {
         }
     }
     acc
-}
-
-/// One worker's pair of connections, from the orchestrator's side.
-pub struct OrchestratorLinks {
-    /// The stage these connections belong to.
-    pub stage: u32,
-    /// Control connection.
-    pub control: Box<dyn Transport>,
-    /// Data connection.
-    pub data: Box<dyn Transport>,
-    /// Passive reattach provider for the data connection (waits for the
-    /// worker's re-dial); `None` disables recovery on this link.
-    pub data_reattach: Option<Box<dyn Reattach>>,
 }
 
 pub(crate) struct Orchestrator {
@@ -498,55 +470,43 @@ impl Orchestrator {
         Ok(())
     }
 
-    /// Handles one event during the serve or drain phases.
-    pub(crate) fn handle_event(
+    /// Handles one relay-plane frame from `stage` during the serve or
+    /// drain phases — everything the supervision layer does not consume
+    /// itself (heartbeats, checkpoints, readmission handshakes).
+    pub(crate) fn handle_frame(
         &mut self,
-        tag: u32,
-        event: PumpEvent,
+        stage: u32,
+        msg: Msg,
     ) -> NetResult<Option<CounterReport>> {
-        let stage = tag / 2;
-        match event {
-            PumpEvent::Frame(msg) => match msg {
-                Msg::Data(frame) => {
-                    self.handle_data(stage, frame)?;
-                    Ok(None)
+        match msg {
+            Msg::Data(frame) => {
+                self.handle_data(stage, frame)?;
+                Ok(None)
+            }
+            Msg::AckData(ack) => {
+                self.handle_ack(ack, false)?;
+                Ok(None)
+            }
+            Msg::NackData(ack) => {
+                self.handle_ack(ack, true)?;
+                Ok(None)
+            }
+            Msg::LinkRestored { stage: s } => {
+                if s != stage {
+                    return Err(NetError::Protocol {
+                        detail: format!("stage {stage} announced a restore for stage {s}"),
+                    });
                 }
-                Msg::AckData(ack) => {
-                    self.handle_ack(ack, false)?;
-                    Ok(None)
-                }
-                Msg::NackData(ack) => {
-                    self.handle_ack(ack, true)?;
-                    Ok(None)
-                }
-                Msg::LinkRestored { stage: s } => {
-                    if s != stage {
-                        return Err(NetError::Protocol {
-                            detail: format!("stage {stage} announced a restore for stage {s}"),
-                        });
-                    }
-                    self.reconnects += 1;
-                    self.rekey_adjacent(s)?;
-                    Ok(None)
-                }
-                Msg::Done(report) => Ok(Some(report)),
-                // Liveness beacons are echoed so the worker's monotone
-                // sequence is observable end to end; the supervised driver
-                // additionally feeds them to its deadline tracking.
-                Msg::Heartbeat(hb) => {
-                    self.control_send(stage, &Msg::HeartbeatAck(hb))?;
-                    Ok(None)
-                }
-                // Late handshake identification frames are harmless.
-                Msg::Hello(h) if h.stage == stage => Ok(None),
-                Msg::DataHello { stage: s, .. } if s == stage => Ok(None),
-                other => Err(NetError::Protocol {
-                    detail: format!("unexpected {other:?} from stage {stage}"),
-                }),
-            },
-            PumpEvent::Down => Ok(None),
-            PumpEvent::Up => Ok(None),
-            PumpEvent::Dead(e) => Err(e),
+                self.reconnects += 1;
+                self.rekey_adjacent(s)?;
+                Ok(None)
+            }
+            Msg::Done(report) => Ok(Some(report)),
+            // A late data-link identification frame is harmless.
+            Msg::DataHello { stage: s, .. } if s == stage => Ok(None),
+            other => Err(NetError::Protocol {
+                detail: format!("unexpected {other:?} from stage {stage}"),
+            }),
         }
     }
 
@@ -627,332 +587,11 @@ pub(crate) fn next_event(
     }
 }
 
-/// Runs the orchestrator over pre-established per-worker links and drives
-/// a full deployment lifecycle: handshake, serve, sequenced drain,
-/// lockstep audit, shutdown.
-///
-/// # Errors
-///
-/// Handshake failures, protocol violations, exhausted retry budgets, phase
-/// timeouts, and lockstep-audit violations.
-pub fn run_orchestrator(
-    spec: &NetPipelineSpec,
-    links: Vec<OrchestratorLinks>,
-) -> NetResult<NetReport> {
-    spec.validate()?;
-    if links.len() != spec.stages as usize {
-        return Err(NetError::Protocol {
-            detail: format!("{} links for {} stages", links.len(), spec.stages),
-        });
-    }
-    // Normalize the link label to its transport kind: "duplex0" →
-    // "duplex", "tcp-127.0.0.1:49022" → "tcp".
-    let transport: String = links
-        .first()
-        .map(|l| {
-            l.data
-                .label()
-                .chars()
-                .take_while(char::is_ascii_alphabetic)
-                .collect()
-        })
-        .unwrap_or_default();
-
-    let (events_tx, events) = mpsc::channel();
-    let mut control_slots = Vec::new();
-    let mut data_slots = Vec::new();
-    let mut pumps = Vec::new();
-    let mut ordered: Vec<OrchestratorLinks> = links;
-    ordered.sort_by_key(|l| l.stage);
-    for (i, link) in ordered.into_iter().enumerate() {
-        if link.stage != i as u32 {
-            return Err(NetError::Protocol {
-                detail: format!("missing or duplicate links for stage {i}"),
-            });
-        }
-        let control_slot = empty_slot();
-        let data_slot = empty_slot();
-        let (ctl_sender, ctl_receiver) = link.control.split()?;
-        install_sender(&control_slot, ctl_sender);
-        let (data_sender, data_receiver) = link.data.split()?;
-        install_sender(&data_slot, data_sender);
-        pumps.push(Pump::spawn(
-            link.stage * 2,
-            ctl_receiver,
-            None,
-            control_slot.clone(),
-            spec.policy,
-            spec.poll,
-            events_tx.clone(),
-        ));
-        pumps.push(Pump::spawn(
-            link.stage * 2 + 1,
-            data_receiver,
-            link.data_reattach,
-            data_slot.clone(),
-            spec.policy,
-            spec.poll,
-            events_tx.clone(),
-        ));
-        control_slots.push(control_slot);
-        data_slots.push(data_slot);
-    }
-    drop(events_tx);
-
-    let mut orch = Orchestrator::new(spec, control_slots, data_slots);
-
-    // --- Handshake -------------------------------------------------------
-    for stage in 0..spec.stages {
-        orch.control_send(
-            stage,
-            &Msg::Welcome(Welcome {
-                stages: spec.stages,
-            }),
-        )?;
-        orch.control_send(stage, &Msg::Manifest(spec.manifest_for(stage)))?;
-    }
-    let deadline = Instant::now() + spec.op_timeout;
-    let mut acked = vec![false; spec.stages as usize];
-    while acked.iter().any(|a| !a) {
-        if Instant::now() > deadline {
-            return Err(NetError::Timeout {
-                op: "handshake",
-                waited: spec.op_timeout,
-            });
-        }
-        let Some((tag, event)) = next_event(&events, spec.poll)? else {
-            continue;
-        };
-        let stage = tag / 2;
-        match event {
-            PumpEvent::Frame(Msg::ManifestAck(ack)) => {
-                if ack.stage != stage {
-                    return Err(NetError::Handshake {
-                        detail: format!("stage {stage} acked manifest for {}", ack.stage),
-                    });
-                }
-                let expect = spec.manifest_for(stage).weight_hash;
-                if ack.weight_hash != expect {
-                    return Err(NetError::Handshake {
-                        detail: format!(
-                            "stage {stage} weight hash {:#x}, expected {expect:#x}",
-                            ack.weight_hash
-                        ),
-                    });
-                }
-                acked[stage as usize] = true;
-            }
-            PumpEvent::Frame(Msg::Hello(h)) if h.stage == stage => {}
-            PumpEvent::Frame(Msg::DataHello { stage: s, .. }) if s == stage => {}
-            PumpEvent::Frame(Msg::Heartbeat(_)) => {}
-            PumpEvent::Frame(other) => {
-                return Err(NetError::Handshake {
-                    detail: format!("unexpected {other:?} from stage {stage} during handshake"),
-                })
-            }
-            PumpEvent::Dead(e) => return Err(e),
-            PumpEvent::Down | PumpEvent::Up => {}
-        }
-    }
-    for stage in 0..spec.stages {
-        orch.control_send(stage, &Msg::Start)?;
-    }
-
-    // --- Serve: seal every iteration input, collect every output --------
-    for iteration in 0..spec.iterations {
-        for micro_batch in 0..spec.micro_batches {
-            let input = iteration_input(
-                spec.seed,
-                iteration as usize,
-                micro_batch as usize,
-                spec.activation_bytes,
-            );
-            let seq = orch.ingress_tx.push(iteration, micro_batch, input);
-            orch.send_ingress(seq)?;
-        }
-    }
-    let total = (spec.iterations * spec.micro_batches) as usize;
-    let mut last_activity = Instant::now();
-    while orch.outputs.len() < total || orch.ingress_tx.in_flight() > 0 {
-        if last_activity.elapsed() > spec.op_timeout {
-            return Err(NetError::Timeout {
-                op: "serve",
-                waited: spec.op_timeout,
-            });
-        }
-        orch.sweep(spec.resend_after)?;
-        let Some((tag, event)) = next_event(&events, spec.poll)? else {
-            continue;
-        };
-        last_activity = Instant::now();
-        if let Some(report) = orch.handle_event(tag, event)? {
-            return Err(NetError::Protocol {
-                detail: format!("stage {} reported Done before Finish", report.stage),
-            });
-        }
-    }
-
-    // --- Sequenced drain: Finish flows downstream, stage by stage, so a
-    // stage only reports once its upstream can no longer create frames ---
-    let mut worker_reports: Vec<CounterReport> = Vec::new();
-    for stage in 0..spec.stages {
-        orch.control_send(stage, &Msg::Finish)?;
-        let finish_deadline = Instant::now() + spec.op_timeout;
-        loop {
-            if Instant::now() > finish_deadline {
-                return Err(NetError::Timeout {
-                    op: "drain",
-                    waited: spec.op_timeout,
-                });
-            }
-            let Some((tag, event)) = next_event(&events, spec.poll)? else {
-                continue;
-            };
-            if let Some(report) = orch.handle_event(tag, event)? {
-                if report.stage == stage {
-                    worker_reports.push(report);
-                    break;
-                }
-                // An updated Done from an already-drained stage: a sweep
-                // duplicate was opened after its first report.
-                if let Some(slot) = worker_reports.iter_mut().find(|r| r.stage == report.stage) {
-                    *slot = report;
-                    continue;
-                }
-                return Err(NetError::Protocol {
-                    detail: format!("expected Done from stage {stage}, got {}", report.stage),
-                });
-            }
-        }
-    }
-
-    // --- Flush to quiescence so the audit sees final counters: late sweep
-    // duplicates are opened here and their updated Dones collected. ------
-    let flush_deadline = Instant::now() + spec.op_timeout;
-    let mut quiet_since = Instant::now();
-    while quiet_since.elapsed() < spec.quiet {
-        if Instant::now() > flush_deadline {
-            return Err(NetError::Timeout {
-                op: "flush",
-                waited: spec.op_timeout,
-            });
-        }
-        if let Some((tag, event)) = next_event(&events, spec.poll)? {
-            if let Some(report) = orch.handle_event(tag, event)? {
-                if let Some(slot) = worker_reports.iter_mut().find(|r| r.stage == report.stage) {
-                    *slot = report;
-                }
-            }
-            quiet_since = Instant::now();
-        }
-    }
-
-    let host_report = orch.host_report();
-    audit_lockstep(&worker_reports, &host_report)?;
-
-    for stage in 0..spec.stages {
-        orch.control_send(stage, &Msg::Shutdown)?;
-    }
-    for pump in &pumps {
-        pump.stop();
-    }
-
-    let mut outputs = Vec::with_capacity(total);
-    for iteration in 0..spec.iterations {
-        for micro_batch in 0..spec.micro_batches {
-            let bytes =
-                orch.outputs
-                    .remove(&(iteration, micro_batch))
-                    .ok_or(NetError::Protocol {
-                        detail: format!("missing output ({iteration}, {micro_batch})"),
-                    })?;
-            outputs.push(bytes);
-        }
-    }
-    let output_digest = digest_outputs(&outputs);
-    let retransmits = orch.retransmits + worker_reports.iter().map(|r| r.retransmits).sum::<u64>();
-    let sentinels = orch.sentinels + worker_reports.iter().map(|r| r.sentinels).sum::<u64>();
-    let reconnects = worker_reports.iter().map(|r| r.reconnects).sum::<u64>();
-    Ok(NetReport {
-        transport,
-        stages: spec.stages,
-        outputs,
-        output_digest,
-        worker_reports,
-        host_report,
-        relayed_frames: orch.relayed,
-        retransmits,
-        sentinels,
-        reconnects,
-        rekeys: orch.rekeys,
-        lockstep_ok: true,
-    })
-}
-
-/// Runs a complete deployment on the in-process duplex transport: one
-/// thread per stage worker, the orchestrator on the calling thread —
-/// hermetic, no sockets, bit-identical to the TCP path.
-pub fn run_duplex(spec: &NetPipelineSpec) -> NetResult<NetReport> {
-    spec.validate()?;
-    let mut links = Vec::new();
-    let mut handles = Vec::new();
-    for stage in 0..spec.stages {
-        let (ctl_orch, ctl_worker, _ctl_core) = duplex_pair(&format!("duplex-ctl{stage}"));
-        let (data_orch, data_worker, data_core) = duplex_pair(&format!("duplex{stage}"));
-        let worker_reattach =
-            DuplexActive::new(Arc::clone(&data_core), 1, format!("duplex{stage}-worker"));
-        let orch_reattach = DuplexPassive::new(data_core, 0, format!("duplex{stage}-orch"));
-        links.push(OrchestratorLinks {
-            stage,
-            control: Box::new(ctl_orch),
-            data: Box::new(data_orch),
-            data_reattach: Some(Box::new(orch_reattach)),
-        });
-        let config = spec.worker_config(stage);
-        handles.push(std::thread::spawn(move || {
-            run_worker(
-                WorkerLinks {
-                    control: Box::new(ctl_worker),
-                    data: Box::new(data_worker),
-                    data_reattach: Some(Box::new(worker_reattach)),
-                },
-                config,
-            )
-        }));
-    }
-    let result = run_orchestrator(spec, links);
-    join_workers(handles, result)
-}
-
-/// Runs a complete deployment over real localhost TCP sockets, with every
-/// stage worker on its own thread dialing the orchestrator's listener —
-/// the single-machine stand-in for the multi-process deployment the two
-/// binaries provide.
-pub fn run_tcp_threads(spec: &NetPipelineSpec) -> NetResult<NetReport> {
-    spec.validate()?;
-    let listener =
-        std::net::TcpListener::bind(("127.0.0.1", 0)).map_err(|e| NetError::io("bind", &e))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| NetError::io("local_addr", &e))?;
-
-    let mut handles = Vec::new();
-    for stage in 0..spec.stages {
-        let config = spec.worker_config(stage);
-        handles.push(std::thread::spawn(move || {
-            let links = dial_worker_links(addr, stage, config.generation, config.op_timeout)?;
-            run_worker(links, config)
-        }));
-    }
-    let result = accept_and_run(spec, &listener);
-    join_workers(handles, result)
-}
-
 /// Dials the two connections of `stage` against `addr` and identifies them
 /// (`Hello` rides later in the worker's own handshake; the transport-level
 /// identification here is what the acceptor routes on). `generation` is
-/// the incarnation the connections identify as — a supervised acceptor
-/// rejects anything below the stage's current generation.
+/// the incarnation the connections identify as — the acceptor rejects
+/// anything below the stage's current generation.
 pub fn dial_worker_links(
     addr: std::net::SocketAddr,
     stage: u32,
@@ -978,186 +617,10 @@ pub fn dial_worker_links(
     })
 }
 
-/// Accepts `2 * stages` identified connections (control links announce
-/// `Hello`, data links `DataHello`), then keeps accepting re-dialed data
-/// connections for the lifetime of the run, routing them to the matching
-/// stage's reattach queue.
-fn accept_and_run(
-    spec: &NetPipelineSpec,
-    listener: &std::net::TcpListener,
-) -> NetResult<NetReport> {
-    use crate::frame::read_frame;
-
-    let stages = spec.stages as usize;
-    let mut controls: Vec<Option<TcpTransport>> = (0..stages).map(|_| None).collect();
-    let mut datas: Vec<Option<TcpTransport>> = (0..stages).map(|_| None).collect();
-    let mut redial_txs = Vec::with_capacity(stages);
-    let mut redial_rxs = Vec::with_capacity(stages);
-    for _ in 0..stages {
-        let (tx, rx) = mpsc::channel::<TcpTransport>();
-        redial_txs.push(tx);
-        redial_rxs.push(rx);
-    }
-
-    // Poll a nonblocking accept so the deadline is enforced even when no
-    // connection ever arrives — a worker that died before dialing must
-    // surface as a timeout, not wedge the orchestrator in accept().
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| NetError::io("set_nonblocking", &e))?;
-    let deadline = Instant::now() + spec.op_timeout;
-    while controls.iter().any(Option::is_none) || datas.iter().any(Option::is_none) {
-        if Instant::now() > deadline {
-            return Err(NetError::Timeout {
-                op: "accept",
-                waited: spec.op_timeout,
-            });
-        }
-        let (stream, peer) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-                continue;
-            }
-            Err(e) => return Err(NetError::io("accept", &e)),
-        };
-        stream
-            .set_nonblocking(false)
-            .map_err(|e| NetError::io("set_nonblocking", &e))?;
-        // A connected-but-silent peer gets the remaining deadline for its
-        // identification frame, not forever.
-        let remaining = deadline
-            .saturating_duration_since(Instant::now())
-            .max(POLL_INTERVAL);
-        stream
-            .set_read_timeout(Some(remaining))
-            .map_err(|e| NetError::io("set_read_timeout", &e))?;
-        let mut transport = TcpTransport::new(stream, format!("tcp-{peer}"));
-        let first = read_frame(&mut transport.stream, "accept")?;
-        transport
-            .stream
-            .set_read_timeout(None)
-            .map_err(|e| NetError::io("set_read_timeout", &e))?;
-        match Msg::decode(&first)? {
-            Msg::Hello(h) if (h.stage as usize) < stages => {
-                controls[h.stage as usize] = Some(transport);
-            }
-            Msg::DataHello { stage, .. } if (stage as usize) < stages => {
-                datas[stage as usize] = Some(transport);
-            }
-            other => {
-                return Err(NetError::Handshake {
-                    detail: format!("unidentified connection opened with {other:?}"),
-                })
-            }
-        }
-    }
-
-    // Back to blocking mode for the background acceptor below.
-    listener
-        .set_nonblocking(false)
-        .map_err(|e| NetError::io("set_nonblocking", &e))?;
-
-    // Background acceptor for re-dialed data connections. It exits when
-    // the listener errors (dropped at the end of the run) or when every
-    // redial receiver is gone.
-    let acceptor_listener = listener
-        .try_clone()
-        .map_err(|e| NetError::io("try_clone", &e))?;
-    let acceptor = std::thread::spawn(move || loop {
-        let Ok((stream, peer)) = acceptor_listener.accept() else {
-            return;
-        };
-        let mut transport = TcpTransport::new(stream, format!("tcp-{peer}"));
-        let Ok(first) = read_frame(&mut transport.stream, "accept") else {
-            continue;
-        };
-        match Msg::decode(&first) {
-            // An unsupervised run has exactly one incarnation per stage, so
-            // any redial claiming a later generation is a protocol bug of
-            // the dialer; drop it rather than splice a wrong-incarnation
-            // connection into the slot. (The supervised acceptor in
-            // `crate::supervisor` does full generation bookkeeping.)
-            Ok(Msg::DataHello { stage, generation })
-                if (stage as usize) < redial_txs.len() && generation == 0 =>
-            {
-                if redial_txs[stage as usize].send(transport).is_err() {
-                    return;
-                }
-            }
-            _ => continue,
-        }
-    });
-
-    let mut links = Vec::with_capacity(stages);
-    let mut redials = redial_rxs.into_iter();
-    for stage in 0..stages {
-        let control = controls[stage].take().ok_or(NetError::Protocol {
-            detail: format!("no control connection for stage {stage}"),
-        })?;
-        let data = datas[stage].take().ok_or(NetError::Protocol {
-            detail: format!("no data connection for stage {stage}"),
-        })?;
-        let rx = redials.next().ok_or(NetError::Protocol {
-            detail: "redial queue exhausted".to_string(),
-        })?;
-        links.push(OrchestratorLinks {
-            stage: stage as u32,
-            control: Box::new(control),
-            data: Box::new(data),
-            data_reattach: Some(Box::new(TcpAcceptSlot::new(rx))),
-        });
-    }
-    let result = run_orchestrator(spec, links);
-    // Exit the acceptor: flip the listener to nonblocking FIRST, so an
-    // accept() it enters after consuming the wake-up connection returns
-    // WouldBlock instead of re-blocking (the flag is checked at syscall
-    // entry — it cannot wake a thread already parked in accept), then
-    // dial once to wake it if it is parked right now.
-    drop(listener.set_nonblocking(true));
-    if let Ok(addr) = listener.local_addr() {
-        let _ = std::net::TcpStream::connect(addr);
-    }
-    let _ = acceptor.join();
-    result
-}
-
-/// Serves a deployment on an already-bound listener — the entry point the
-/// `pipellm-orchestrator` binary uses, where workers are real processes.
-pub fn serve_tcp(spec: &NetPipelineSpec, listener: std::net::TcpListener) -> NetResult<NetReport> {
-    spec.validate()?;
-    accept_and_run(spec, &listener)
-}
-
-pub(crate) fn join_workers(
-    handles: Vec<std::thread::JoinHandle<NetResult<CounterReport>>>,
-    result: NetResult<NetReport>,
-) -> NetResult<NetReport> {
-    let mut worker_error = None;
-    for handle in handles {
-        match handle.join() {
-            Ok(Ok(_)) => {}
-            Ok(Err(e)) => worker_error = Some(e),
-            Err(_) => {
-                worker_error = Some(NetError::Protocol {
-                    detail: "worker thread panicked".to_string(),
-                })
-            }
-        }
-    }
-    match (result, worker_error) {
-        (Ok(report), None) => Ok(report),
-        (Err(orch), Some(worker)) => Err(NetError::Protocol {
-            detail: format!("orchestrator: {orch}; worker: {worker}"),
-        }),
-        (Err(e), None) => Err(e),
-        (Ok(_), Some(e)) => Err(e),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervisor::{run_supervised_duplex, SupervisedOptions};
 
     fn small_spec() -> NetPipelineSpec {
         NetPipelineSpec {
@@ -1177,7 +640,9 @@ mod tests {
     #[test]
     fn duplex_pipeline_matches_reference_outputs() {
         let spec = small_spec();
-        let report = run_duplex(&spec).unwrap();
+        let report = run_supervised_duplex(&spec, &SupervisedOptions::default())
+            .unwrap()
+            .net;
         assert_eq!(report.outputs, spec.expected_outputs());
         assert_eq!(report.worker_reports.len(), 4);
         assert_eq!(report.sentinels, 0);
@@ -1203,7 +668,9 @@ mod tests {
             op_timeout: Duration::from_secs(60),
             ..NetPipelineSpec::default()
         };
-        let report = run_duplex(&spec).unwrap();
+        let report = run_supervised_duplex(&spec, &SupervisedOptions::default())
+            .unwrap()
+            .net;
         assert_eq!(report.outputs, spec.expected_outputs());
         assert_eq!(report.relayed_frames, 0);
     }
@@ -1214,7 +681,9 @@ mod tests {
             net_fault_rate: 0.25,
             ..small_spec()
         };
-        let report = run_duplex(&spec).unwrap();
+        let report = run_supervised_duplex(&spec, &SupervisedOptions::default())
+            .unwrap()
+            .net;
         assert_eq!(
             report.outputs,
             spec.expected_outputs(),

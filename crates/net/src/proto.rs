@@ -95,9 +95,6 @@ pub const WIRE_OP_TIMEOUT: Duration = Duration::from_secs(2);
 /// Sleep between connect attempts while dialing the orchestrator.
 pub const DIAL_RETRY: Duration = Duration::from_millis(5);
 
-/// Sleep between polls of a nonblocking accept loop.
-pub const ACCEPT_POLL: Duration = Duration::from_millis(2);
-
 /// Every configurable timing knob of the networked deployment.
 ///
 /// Defaults come from the module constants above; [`NetTuning::from_env`]

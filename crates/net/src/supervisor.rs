@@ -1,8 +1,11 @@
 //! Worker supervision: heartbeat deadlines, live failover, checkpoint
 //! relay, and overload protection.
 //!
-//! The supervised orchestrator layers a health state machine over the
-//! plain relay loop. Every worker streams monotone-sequence heartbeats on
+//! Every deployment runs under supervision: the orchestrator's one drive
+//! loop layers a health state machine over the relay core of
+//! [`crate::orchestrator`]. A run with [`SupervisedOptions::default`]
+//! admits every session at once and never drains; nothing else changes.
+//! Every worker streams monotone-sequence heartbeats on
 //! its control channel; the [`Supervisor`] classifies each stage as
 //! healthy, suspected (one missed deadline), or dead (silence past the
 //! death deadline, or a control-connection loss — the control link rides
@@ -39,11 +42,13 @@ use crate::orchestrator::{
     audit_lockstep, dial_worker_links, digest_outputs, next_event, NetPipelineSpec, NetReport,
     Orchestrator,
 };
-use crate::proto::{CheckpointReq, CounterReport, Msg, NetTuning, Restore, Welcome, POLL_INTERVAL};
+use crate::proto::{
+    CheckpointReq, CounterReport, ManifestAck, Msg, NetTuning, Restore, Welcome, POLL_INTERVAL,
+};
 use crate::pump::{Pump, PumpEvent};
 use crate::transport::{
-    duplex_handle, duplex_pair, DuplexActive, DuplexCore, DuplexPassive, Reattach, TcpAcceptSlot,
-    TcpTransport, Transport,
+    duplex_handle, DuplexActive, DuplexCore, DuplexPassive, Reattach, TcpAcceptSlot, TcpTransport,
+    Transport,
 };
 use crate::worker::{run_worker, WorkerConfig, WorkerLinks};
 use pipellm::partition::iteration_input;
@@ -386,7 +391,7 @@ impl AdmissionQueue {
     }
 }
 
-/// Outcome of one supervised run: the plain report plus supervision
+/// Outcome of one supervised run: the deployment report plus supervision
 /// counters and the served/shed session split.
 #[derive(Debug, Clone)]
 pub struct SupervisedReport {
@@ -401,9 +406,9 @@ pub struct SupervisedReport {
     pub shed: Vec<(u32, u32)>,
 }
 
-/// One worker's connections from the supervised orchestrator's side —
-/// unlike the plain deployment, the *control* link also carries a
-/// reattach provider, because a replacement incarnation re-dials both.
+/// One worker's connections from the orchestrator's side — both links
+/// carry a reattach provider, because a replacement incarnation re-dials
+/// both.
 pub struct SupervisedLinks {
     /// The stage these connections belong to.
     pub stage: u32,
@@ -428,6 +433,26 @@ fn control_send_lossy(orch: &Orchestrator, stage: u32, msg: &Msg) -> NetResult<(
         Ok(()) | Err(NetError::ConnectionLost { .. }) => Ok(()),
         Err(e) => Err(e),
     }
+}
+
+/// Checks that `stage`'s manifest ack names that stage and echoes the
+/// weight hash of its shard — at first admission and at every readmission.
+fn check_manifest_ack(spec: &NetPipelineSpec, stage: u32, ack: &ManifestAck) -> NetResult<()> {
+    if ack.stage != stage {
+        return Err(NetError::Handshake {
+            detail: format!("stage {stage} acked manifest for {}", ack.stage),
+        });
+    }
+    let expect = spec.manifest_for(stage).weight_hash;
+    if ack.weight_hash != expect {
+        return Err(NetError::Handshake {
+            detail: format!(
+                "stage {stage} weight hash {:#x}, expected {expect:#x}",
+                ack.weight_hash
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// Per-run mutable supervision state shared across the drive phases.
@@ -469,9 +494,9 @@ impl Supervision {
         Ok(())
     }
 
-    /// Handles one event with full supervision semantics; everything the
-    /// supervision layer does not consume is delegated to the plain
-    /// orchestrator handler (with dead-link losses absorbed).
+    /// Handles one event with full supervision semantics; every frame the
+    /// supervision layer does not consume is delegated to the relay core's
+    /// frame handler (with dead-link losses absorbed).
     fn handle(
         &mut self,
         orch: &mut Orchestrator,
@@ -525,20 +550,7 @@ impl Supervision {
                         detail: format!("unexpected ManifestAck from live stage {stage}"),
                     });
                 }
-                if ack.stage != stage {
-                    return Err(NetError::Handshake {
-                        detail: format!("stage {stage} acked manifest for {}", ack.stage),
-                    });
-                }
-                let expect = spec.manifest_for(stage).weight_hash;
-                if ack.weight_hash != expect {
-                    return Err(NetError::Handshake {
-                        detail: format!(
-                            "replacement stage {stage} weight hash {:#x}, expected {expect:#x}",
-                            ack.weight_hash
-                        ),
-                    });
-                }
+                check_manifest_ack(spec, stage, &ack)?;
                 // Relay the latest sealed checkpoint — or an empty restore
                 // meaning "serve from scratch". The blob is opaque here;
                 // only the worker holds the key that opens it.
@@ -582,14 +594,14 @@ impl Supervision {
                     } else {
                         self.supervisor.note_data_up(stage);
                     }
-                    Ok(None)
-                } else {
-                    orch.handle_event(tag, PumpEvent::Up)
                 }
+                // A live stage's re-dialed data link needs nothing here:
+                // the worker's `LinkRestored` drives the rekey.
+                Ok(None)
             }
             PumpEvent::Frame(msg) => {
                 self.supervisor.heard(stage, now);
-                match orch.handle_event(tag, PumpEvent::Frame(msg)) {
+                match orch.handle_frame(stage, msg) {
                     Ok(report) => Ok(report),
                     // An ack/nack relay into a dead stage's slot; its
                     // failover replays everything that matters.
@@ -748,20 +760,7 @@ fn drive_supervised(
         let stage = tag / 2;
         match event {
             PumpEvent::Frame(Msg::ManifestAck(ack)) => {
-                if ack.stage != stage {
-                    return Err(NetError::Handshake {
-                        detail: format!("stage {stage} acked manifest for {}", ack.stage),
-                    });
-                }
-                let expect = spec.manifest_for(stage).weight_hash;
-                if ack.weight_hash != expect {
-                    return Err(NetError::Handshake {
-                        detail: format!(
-                            "stage {stage} weight hash {:#x}, expected {expect:#x}",
-                            ack.weight_hash
-                        ),
-                    });
-                }
+                check_manifest_ack(spec, stage, &ack)?;
                 acked[stage as usize] = true;
             }
             PumpEvent::Frame(Msg::Hello(h)) if h.stage == stage => {}
@@ -881,8 +880,9 @@ fn drive_supervised(
         }
     }
 
-    // --- Sequenced drain: identical discipline to the plain run; worker
-    // chaos cannot fire here (only duplicates flow after serve) ----------
+    // --- Sequenced drain: Finish flows downstream, stage by stage, so a
+    // stage only reports once its upstream can no longer create frames;
+    // worker chaos cannot fire here (only duplicates flow after serve) ---
     let mut worker_reports: Vec<CounterReport> = Vec::new();
     for stage in 0..spec.stages {
         orch.control_send(stage, &Msg::Finish)?;
@@ -903,6 +903,8 @@ fn drive_supervised(
                     worker_reports.push(report);
                     break;
                 }
+                // An updated Done from an already-drained stage: a sweep
+                // duplicate was opened after its first report.
                 if let Some(slot) = worker_reports.iter_mut().find(|r| r.stage == report.stage) {
                     *slot = report;
                     continue;
@@ -914,7 +916,8 @@ fn drive_supervised(
         }
     }
 
-    // --- Flush to quiescence, then audit lockstep ------------------------
+    // --- Flush to quiescence so the audit sees final counters: late sweep
+    // duplicates are opened here and their updated Dones collected. ------
     let flush_deadline = Instant::now() + spec.op_timeout;
     let mut quiet_since = Instant::now();
     while quiet_since.elapsed() < spec.quiet {
@@ -1096,49 +1099,11 @@ pub fn run_supervised_duplex(
     let gens: Arc<Vec<AtomicU32>> = Arc::new((0..stages).map(|_| AtomicU32::new(0)).collect());
     let stale_rejects = Arc::new(AtomicU64::new(0));
     let handles: Arc<Mutex<Vec<WorkerHandle>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut ctl_cores: Vec<Arc<DuplexCore>> = Vec::with_capacity(stages);
-    let mut data_cores: Vec<Arc<DuplexCore>> = Vec::with_capacity(stages);
-    let mut links = Vec::with_capacity(stages);
-    for stage in 0..spec.stages {
-        let (ctl_orch, ctl_worker, ctl_core) = duplex_pair(&format!("duplex-sctl{stage}"));
-        let (data_orch, data_worker, data_core) = duplex_pair(&format!("duplex-s{stage}"));
-        let worker_reattach = DuplexActive::pinned(
-            Arc::clone(&data_core),
-            1,
-            format!("duplex-s{stage}-worker"),
-            admission_guard(&gens, &stale_rejects, stage, 0),
-        );
-        links.push(SupervisedLinks {
-            stage,
-            control: Box::new(ctl_orch),
-            control_reattach: Some(Box::new(DuplexPassive::new(
-                Arc::clone(&ctl_core),
-                0,
-                format!("duplex-sctl{stage}-orch"),
-            ))),
-            data: Box::new(data_orch),
-            data_reattach: Some(Box::new(DuplexPassive::new(
-                Arc::clone(&data_core),
-                0,
-                format!("duplex-s{stage}-orch"),
-            ))),
-        });
-        let config = supervised_worker_config(spec, options, stage, 0);
-        let handle = std::thread::spawn(move || {
-            run_worker(
-                WorkerLinks {
-                    control: Box::new(ctl_worker),
-                    data: Box::new(data_worker),
-                    data_reattach: Some(Box::new(worker_reattach)),
-                },
-                config,
-            )
-        });
-        lock_handles(&handles).push((stage, 0, handle));
-        ctl_cores.push(ctl_core);
-        data_cores.push(data_core);
-    }
-    let spawner: Spawner = {
+    let ctl_cores: Vec<Arc<DuplexCore>> = (0..stages).map(|_| DuplexCore::new()).collect();
+    let data_cores: Vec<Arc<DuplexCore>> = (0..stages).map(|_| DuplexCore::new()).collect();
+    let mut spawner: Spawner = {
+        let ctl_cores = ctl_cores.clone();
+        let data_cores = data_cores.clone();
         let spec = spec.clone();
         let options = options.clone();
         let handles = Arc::clone(&handles);
@@ -1174,6 +1139,27 @@ pub fn run_supervised_duplex(
             Ok(())
         })
     };
+    // Generation 0 is spawned exactly like a replacement; the
+    // orchestrator's handles are taken at the link generation it left.
+    let mut links = Vec::with_capacity(stages);
+    for (stage, (ctl_core, data_core)) in (0..spec.stages).zip(ctl_cores.iter().zip(&data_cores)) {
+        spawner(stage, 0)?;
+        links.push(SupervisedLinks {
+            stage,
+            control: Box::new(duplex_handle(ctl_core, 0, format!("duplex-sctl{stage}-a"))),
+            control_reattach: Some(Box::new(DuplexPassive::new(
+                Arc::clone(ctl_core),
+                0,
+                format!("duplex-sctl{stage}-orch"),
+            ))),
+            data: Box::new(duplex_handle(data_core, 0, format!("duplex-s{stage}-a"))),
+            data_reattach: Some(Box::new(DuplexPassive::new(
+                Arc::clone(data_core),
+                0,
+                format!("duplex-s{stage}-orch"),
+            ))),
+        });
+    }
     let result = drive_supervised(
         spec,
         options,
@@ -1183,27 +1169,6 @@ pub fn run_supervised_duplex(
         stale_rejects,
     );
     join_supervised(&handles, &gens, result)
-}
-
-/// Receives one identified connection from the acceptor with a deadline.
-fn recv_accepted(
-    rx: &mpsc::Receiver<TcpTransport>,
-    deadline: Instant,
-    op: &'static str,
-) -> NetResult<TcpTransport> {
-    let remaining = deadline
-        .saturating_duration_since(Instant::now())
-        .max(POLL_INTERVAL);
-    match rx.recv_timeout(remaining) {
-        Ok(t) => Ok(t),
-        Err(mpsc::RecvTimeoutError::Timeout) => Err(NetError::Timeout {
-            op,
-            waited: remaining,
-        }),
-        Err(mpsc::RecvTimeoutError::Disconnected) => Err(NetError::ConnectionLost {
-            link: "acceptor".to_string(),
-        }),
-    }
 }
 
 /// Per-stage queues of identified connections, one receiver per stage.
@@ -1297,23 +1262,61 @@ fn shutdown_acceptor(listener: &std::net::TcpListener, handle: std::thread::Join
 /// first identified control/data connection per stage plus reattach
 /// providers that keep pulling from the same queues for the run's life.
 fn assemble_supervised_links(
-    ctl_rxs: Vec<mpsc::Receiver<TcpTransport>>,
-    data_rxs: Vec<mpsc::Receiver<TcpTransport>>,
+    ctl_rxs: AcceptQueues,
+    data_rxs: AcceptQueues,
     deadline: Instant,
 ) -> NetResult<Vec<SupervisedLinks>> {
+    let remaining = || {
+        deadline
+            .saturating_duration_since(Instant::now())
+            .max(POLL_INTERVAL)
+    };
     let mut links = Vec::with_capacity(ctl_rxs.len());
     for (stage, (ctl_rx, data_rx)) in ctl_rxs.into_iter().zip(data_rxs).enumerate() {
-        let control = recv_accepted(&ctl_rx, deadline, "control accept")?;
-        let data = recv_accepted(&data_rx, deadline, "data accept")?;
+        let mut control_reattach = TcpAcceptSlot::new(ctl_rx);
+        let mut data_reattach = TcpAcceptSlot::new(data_rx);
         links.push(SupervisedLinks {
             stage: stage as u32,
-            control: Box::new(control),
-            control_reattach: Some(Box::new(TcpAcceptSlot::new(ctl_rx))),
-            data: Box::new(data),
-            data_reattach: Some(Box::new(TcpAcceptSlot::new(data_rx))),
+            control: control_reattach.reattach(remaining())?,
+            control_reattach: Some(Box::new(control_reattach)),
+            data: data_reattach.reattach(remaining())?,
+            data_reattach: Some(Box::new(data_reattach)),
         });
     }
     Ok(links)
+}
+
+/// Accepts the deployment's connections on `listener` and drives it to
+/// completion; `spawner` replaces dead stages, or `None` leaves that to an
+/// external respawn loop. The acceptor is shut down on every exit path.
+fn serve_on(
+    spec: &NetPipelineSpec,
+    options: &SupervisedOptions,
+    listener: &std::net::TcpListener,
+    spawner: Option<Spawner>,
+    gens: &Arc<Vec<AtomicU32>>,
+) -> NetResult<SupervisedReport> {
+    let stale_rejects = Arc::new(AtomicU64::new(0));
+    let (ctl_rxs, data_rxs, acceptor) = spawn_supervised_acceptor(
+        listener,
+        spec.stages as usize,
+        spec.op_timeout,
+        Arc::clone(gens),
+        Arc::clone(&stale_rejects),
+    )?;
+    let result = assemble_supervised_links(ctl_rxs, data_rxs, Instant::now() + spec.op_timeout)
+        .and_then(|links| {
+            drive_supervised(
+                spec,
+                options,
+                links,
+                spawner,
+                Arc::clone(gens),
+                stale_rejects,
+            )
+        });
+    shutdown_acceptor(listener, acceptor);
+    result
 }
 
 /// Runs a supervised deployment over real localhost TCP sockets, every
@@ -1333,34 +1336,9 @@ pub fn run_supervised_tcp_threads(
     let addr = listener
         .local_addr()
         .map_err(|e| NetError::io("local_addr", &e))?;
-    let stages = spec.stages as usize;
-    let gens: Arc<Vec<AtomicU32>> = Arc::new((0..stages).map(|_| AtomicU32::new(0)).collect());
-    let stale_rejects = Arc::new(AtomicU64::new(0));
+    let gens: Arc<Vec<AtomicU32>> = Arc::new((0..spec.stages).map(|_| AtomicU32::new(0)).collect());
     let handles: Arc<Mutex<Vec<WorkerHandle>>> = Arc::new(Mutex::new(Vec::new()));
-    for stage in 0..spec.stages {
-        let config = supervised_worker_config(spec, options, stage, 0);
-        let handle = std::thread::spawn(move || {
-            let links = dial_worker_links(addr, stage, 0, config.op_timeout)?;
-            run_worker(links, config)
-        });
-        lock_handles(&handles).push((stage, 0, handle));
-    }
-    let (ctl_rxs, data_rxs, acceptor) = spawn_supervised_acceptor(
-        &listener,
-        stages,
-        spec.op_timeout,
-        Arc::clone(&gens),
-        Arc::clone(&stale_rejects),
-    )?;
-    let links = match assemble_supervised_links(ctl_rxs, data_rxs, Instant::now() + spec.op_timeout)
-    {
-        Ok(links) => links,
-        Err(e) => {
-            shutdown_acceptor(&listener, acceptor);
-            return join_supervised(&handles, &gens, Err(e));
-        }
-    };
-    let spawner: Spawner = {
+    let mut spawner: Spawner = {
         let spec = spec.clone();
         let options = options.clone();
         let handles = Arc::clone(&handles);
@@ -1374,23 +1352,19 @@ pub fn run_supervised_tcp_threads(
             Ok(())
         })
     };
-    let result = drive_supervised(
-        spec,
-        options,
-        links,
-        Some(spawner),
-        Arc::clone(&gens),
-        stale_rejects,
-    );
-    shutdown_acceptor(&listener, acceptor);
+    // Generation 0 is spawned exactly like a replacement.
+    for stage in 0..spec.stages {
+        spawner(stage, 0)?;
+    }
+    let result = serve_on(spec, options, &listener, Some(spawner), &gens);
     join_supervised(&handles, &gens, result)
 }
 
 /// Serves a supervised deployment on an already-bound listener — the
-/// entry point the `pipellm-orchestrator` binary uses with `--supervised`,
-/// where workers are real processes and an *external* respawn loop
-/// re-dials replacements at bumped generations (the CI smoke SIGKILLs a
-/// stage worker mid-run and restarts it with `--generation <n>`).
+/// entry point the `pipellm-orchestrator` binary uses, where workers are
+/// real processes and an *external* respawn loop re-dials replacements at
+/// bumped generations (the CI kill smoke SIGKILLs a stage worker mid-run
+/// and restarts it with `--generation <n>`).
 ///
 /// # Errors
 ///
@@ -1402,27 +1376,8 @@ pub fn serve_supervised_tcp(
     listener: std::net::TcpListener,
 ) -> NetResult<SupervisedReport> {
     spec.validate()?;
-    let stages = spec.stages as usize;
-    let gens: Arc<Vec<AtomicU32>> = Arc::new((0..stages).map(|_| AtomicU32::new(0)).collect());
-    let stale_rejects = Arc::new(AtomicU64::new(0));
-    let (ctl_rxs, data_rxs, acceptor) = spawn_supervised_acceptor(
-        &listener,
-        stages,
-        spec.op_timeout,
-        Arc::clone(&gens),
-        Arc::clone(&stale_rejects),
-    )?;
-    let links = match assemble_supervised_links(ctl_rxs, data_rxs, Instant::now() + spec.op_timeout)
-    {
-        Ok(links) => links,
-        Err(e) => {
-            shutdown_acceptor(&listener, acceptor);
-            return Err(e);
-        }
-    };
-    let result = drive_supervised(spec, options, links, None, gens, stale_rejects);
-    shutdown_acceptor(&listener, acceptor);
-    result
+    let gens: Arc<Vec<AtomicU32>> = Arc::new((0..spec.stages).map(|_| AtomicU32::new(0)).collect());
+    serve_on(spec, options, &listener, None, &gens)
 }
 
 #[cfg(test)]
@@ -1572,6 +1527,85 @@ mod tests {
         assert_eq!(sup.health(0), WorkerHealth::Healthy);
         assert!(!sup.ready_to_restart(0), "only dead stages restart");
         assert!(sup.all_healthy());
+    }
+
+    #[test]
+    fn acceptor_refuses_unidentified_misrouted_and_stale_connections() {
+        use crate::frame::read_frame;
+        use crate::proto::Hello;
+        use std::io::Write;
+        use std::net::TcpStream;
+
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let addr = listener.local_addr().expect("local_addr");
+        let gens: Arc<Vec<AtomicU32>> = Arc::new(vec![AtomicU32::new(1), AtomicU32::new(0)]);
+        let stale_rejects = Arc::new(AtomicU64::new(0));
+        let (ctl_rxs, data_rxs, acceptor) = spawn_supervised_acceptor(
+            &listener,
+            2,
+            Duration::from_secs(5),
+            Arc::clone(&gens),
+            Arc::clone(&stale_rejects),
+        )
+        .expect("acceptor");
+        let dial = |first: Option<Msg>| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            if let Some(msg) = first {
+                stream
+                    .write_all(&msg.encode().expect("encode"))
+                    .expect("write");
+            }
+            stream
+        };
+
+        drop(dial(None)); // closes before identifying
+        let refused: Vec<TcpStream> = [
+            // Opens with neither Hello nor DataHello.
+            Msg::Start,
+            // Claims a stage the deployment does not have.
+            Msg::Hello(Hello {
+                stage: 2,
+                generation: 0,
+            }),
+            // A data redial of stage 0's superseded generation.
+            Msg::DataHello {
+                stage: 0,
+                generation: 0,
+            },
+        ]
+        .into_iter()
+        .map(|msg| dial(Some(msg)))
+        .collect();
+        // Stage 0's current incarnation: the only one routed.
+        let mut current = dial(Some(Msg::Hello(Hello {
+            stage: 0,
+            generation: 1,
+        })));
+        current
+            .write_all(&Msg::Finish.encode().expect("encode"))
+            .expect("write");
+
+        // The acceptor identifies connections one at a time in accept
+        // order, so once the current one is routed every earlier one has
+        // been judged.
+        let mut routed = ctl_rxs[0]
+            .recv_timeout(Duration::from_secs(10))
+            .expect("current incarnation routed to stage 0's control queue");
+        let next = read_frame(&mut routed.stream, "test").expect("read");
+        assert_eq!(Msg::decode(&next).expect("decode"), Msg::Finish);
+        assert!(ctl_rxs[0].try_recv().is_err(), "nothing else routed");
+        assert!(data_rxs[0].try_recv().is_err(), "stale DataHello refused");
+        assert!(ctl_rxs[1].try_recv().is_err());
+        assert!(data_rxs[1].try_recv().is_err());
+        assert_eq!(
+            stale_rejects.load(Ordering::SeqCst),
+            1,
+            "only the superseded generation counts as a stale reject"
+        );
+        assert_eq!(gens[0].load(Ordering::SeqCst), 1);
+        assert_eq!(gens[1].load(Ordering::SeqCst), 0);
+        drop(refused);
+        shutdown_acceptor(&listener, acceptor);
     }
 
     #[test]

@@ -348,7 +348,7 @@ struct DuplexState {
 }
 
 impl DuplexCore {
-    fn new() -> Arc<Self> {
+    pub(crate) fn new() -> Arc<Self> {
         Arc::new(DuplexCore {
             state: Mutex::new(DuplexState {
                 queues: [VecDeque::new(), VecDeque::new()],

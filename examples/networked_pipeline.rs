@@ -23,7 +23,10 @@
 //!
 //! Run with: `cargo run --release --example networked_pipeline`
 
-use pipellm_repro::net::{run_duplex, run_tcp_threads, NetPipelineSpec, NetReport};
+use pipellm_repro::net::{
+    run_supervised_duplex, run_supervised_tcp_threads, NetPipelineSpec, NetReport,
+    SupervisedOptions,
+};
 use std::time::Duration;
 
 fn show(label: &str, r: &NetReport) {
@@ -58,18 +61,28 @@ fn main() {
     // The reference computation: what every deployment must reproduce.
     let expected = spec.expected_outputs();
 
-    let duplex = run_duplex(&spec).expect("duplex deployment");
+    let options = SupervisedOptions::default();
+
+    let duplex = run_supervised_duplex(&spec, &options)
+        .expect("duplex deployment")
+        .net;
     show("duplex", &duplex);
 
-    let tcp = run_tcp_threads(&spec).expect("tcp deployment");
+    let tcp = run_supervised_tcp_threads(&spec, &options)
+        .expect("tcp deployment")
+        .net;
     show("tcp", &tcp);
 
-    let chaotic = run_tcp_threads(&NetPipelineSpec {
-        net_fault_rate: 0.10,
-        chaos_seed: 42,
-        ..spec.clone()
-    })
-    .expect("chaotic tcp deployment");
+    let chaotic = run_supervised_tcp_threads(
+        &NetPipelineSpec {
+            net_fault_rate: 0.10,
+            chaos_seed: 42,
+            ..spec.clone()
+        },
+        &options,
+    )
+    .expect("chaotic tcp deployment")
+    .net;
     show("tcp + chaos", &chaotic);
 
     assert_eq!(duplex.outputs, expected, "duplex diverged from reference");

@@ -2,7 +2,9 @@
 //! be bit-identical to each other and to the in-process reference, and a
 //! chaos-injected run must recover with every edge in lockstep.
 
-use pipellm_repro::net::{run_duplex, run_tcp_threads, NetPipelineSpec};
+use pipellm_repro::net::{
+    run_supervised_duplex, run_supervised_tcp_threads, NetPipelineSpec, SupervisedOptions,
+};
 use std::time::Duration;
 
 fn spec() -> NetPipelineSpec {
@@ -23,7 +25,9 @@ fn spec() -> NetPipelineSpec {
 #[test]
 fn four_stage_tcp_matches_the_in_process_reference_bit_for_bit() {
     let spec = spec();
-    let report = run_tcp_threads(&spec).expect("tcp run");
+    let report = run_supervised_tcp_threads(&spec, &SupervisedOptions::default())
+        .expect("tcp run")
+        .net;
     assert_eq!(report.transport, "tcp");
     assert_eq!(
         report.outputs,
@@ -36,8 +40,12 @@ fn four_stage_tcp_matches_the_in_process_reference_bit_for_bit() {
 #[test]
 fn tcp_and_duplex_transports_are_interchangeable() {
     let spec = spec();
-    let tcp = run_tcp_threads(&spec).expect("tcp run");
-    let duplex = run_duplex(&spec).expect("duplex run");
+    let tcp = run_supervised_tcp_threads(&spec, &SupervisedOptions::default())
+        .expect("tcp run")
+        .net;
+    let duplex = run_supervised_duplex(&spec, &SupervisedOptions::default())
+        .expect("duplex run")
+        .net;
     assert_eq!(tcp.outputs, duplex.outputs);
     assert_eq!(
         tcp.output_digest, duplex.output_digest,
@@ -51,7 +59,9 @@ fn chaos_connection_drops_recover_in_lockstep_over_tcp() {
         net_fault_rate: 0.2,
         ..spec()
     };
-    let report = run_tcp_threads(&spec).expect("chaos tcp run");
+    let report = run_supervised_tcp_threads(&spec, &SupervisedOptions::default())
+        .expect("chaos tcp run")
+        .net;
     assert_eq!(
         report.outputs,
         spec.expected_outputs(),
@@ -64,7 +74,7 @@ fn chaos_connection_drops_recover_in_lockstep_over_tcp() {
         report.reconnects
     );
     // Reconnected links resume at a bumped epoch with IV counters back at
-    // 1 — the lockstep audit inside run_tcp_threads fails the run if any
+    // 1 — the lockstep audit inside the run fails it if any
     // edge's counters or epochs diverge, so reaching here with reconnects
     // is the no-IV-reuse witness.
     assert!(report.lockstep_ok);

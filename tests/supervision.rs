@@ -16,7 +16,7 @@ use pipellm_repro::analysis::interleave::{Explorer, Violation};
 use pipellm_repro::net::checkpoint::{open_checkpoint, seal_checkpoint, CheckpointState};
 use pipellm_repro::net::transport::{duplex_pair, DuplexActive, Reattach};
 use pipellm_repro::net::{
-    run_duplex, run_supervised_duplex, run_supervised_tcp_threads, NetPipelineSpec, NetTuning,
+    run_supervised_duplex, run_supervised_tcp_threads, NetPipelineSpec, NetTuning,
     SupervisedOptions,
 };
 
@@ -55,12 +55,12 @@ fn tight() -> SupervisedOptions {
 #[test]
 fn supervised_faultless_run_matches_the_plain_pipeline() {
     let spec = spec();
-    let plain = run_duplex(&spec).expect("plain duplex run");
+    let tcp = run_supervised_tcp_threads(&spec, &tight()).expect("supervised tcp run");
     let supervised = run_supervised_duplex(&spec, &tight()).expect("supervised run");
     assert_eq!(supervised.net.outputs, spec.expected_outputs());
     assert_eq!(
-        supervised.net.outputs, plain.outputs,
-        "supervision must be invisible to a healthy pipeline"
+        supervised.net.outputs, tcp.net.outputs,
+        "the transport must be invisible to a healthy supervised pipeline"
     );
     assert_eq!(supervised.stats.failovers, 0);
     assert_eq!(supervised.stats.detections, 0);
