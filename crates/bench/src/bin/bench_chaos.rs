@@ -24,7 +24,10 @@ fn main() {
     let (micro_batches, iterations) = if smoke { (3, 2) } else { (6, 4) };
 
     let rows = chaos::run(micro_batches, iterations);
-    print!("{}", chaos::to_table(&rows));
+    // The networked kill sweep: supervised failover under process chaos.
+    let kill_rows = chaos::run_net_kill(smoke);
+    let artifact = chaos::artifact(&rows, &kill_rows);
+    print!("{}", artifact.tables());
 
     // The claims the artifact exists to track: every system completes
     // every micro-batch at every fault rate, bit-exact with its own
@@ -49,9 +52,6 @@ fn main() {
         "10% sweep injected nothing — chaos wiring is dead"
     );
 
-    // The networked kill sweep: supervised failover under process chaos.
-    let kill_rows = chaos::run_net_kill(smoke);
-    print!("{}", chaos::net_kill_table(&kill_rows));
     for row in &kill_rows {
         let at = format!("{} @ {:.0}% kill", row.transport, row.kill_rate * 100.0);
         assert!(row.bit_exact, "{at} diverged from its fault-free twin");
@@ -66,7 +66,6 @@ fn main() {
         "kill sweep landed no kills — supervision chaos wiring is dead"
     );
 
-    let json = chaos::artifact_json(&rows, &kill_rows);
-    std::fs::write(&out_path, &json).expect("write benchmark artifact");
+    artifact.write(&out_path);
     println!("wrote {out_path}");
 }

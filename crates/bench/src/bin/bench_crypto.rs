@@ -53,9 +53,9 @@
 //! Usage: `cargo run --release -p pipellm-bench --bin bench_crypto
 //! [--smoke] [out.json]`
 
+use pipellm_bench::artifact::{fixed, num, text, Artifact, Clock, Column};
 use pipellm_crypto::engine::CryptoEngine;
 use pipellm_crypto::gcm::{AesGcm, BatchSealMsg, PAR_MIN_BYTES};
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -302,8 +302,6 @@ fn run_sweep(window: f64, cores: usize) -> Vec<SweepRow> {
 /// The fused-batch measurement: `BATCH_COUNT` messages of
 /// `BATCH_MSG_BYTES` each, fused seal versus per-message engine dispatch.
 struct BatchResult {
-    count: usize,
-    msg_bytes: usize,
     per_msg_mib_s: f64,
     fused_mib_s: f64,
     fused_speedup: f64,
@@ -375,8 +373,6 @@ fn run_batch(window: f64) -> BatchResult {
     let per_msg_mib_s = mib_s(total, per_msg);
     let fused_mib_s = mib_s(total, fused);
     BatchResult {
-        count: BATCH_COUNT,
-        msg_bytes: BATCH_MSG_BYTES,
         per_msg_mib_s,
         fused_mib_s,
         fused_speedup: fused_mib_s / per_msg_mib_s,
@@ -393,8 +389,8 @@ fn main() {
         .software_only();
     let nonce = [9u8; 12];
 
-    let mut rows = String::new();
-    for (i, &size) in SIZES.iter().enumerate() {
+    let mut results: Vec<Vec<Column>> = Vec::new();
+    for &size in &SIZES {
         let pt = vec![0xabu8; size];
         let mut buf = pt.clone();
         let seal_hw = mib_s(
@@ -423,38 +419,48 @@ fn main() {
             }),
         );
         let speedup_hw = seal_hw / seal_baseline;
-        let speedup_soft = seal_soft / seal_baseline;
-        println!(
-            "{size:>9} B  seal_hw {seal_hw:8.1} MiB/s  open_hw {open_hw:8.1} MiB/s  \
-             seal_soft {seal_soft:7.1} MiB/s  baseline {seal_baseline:7.1} MiB/s  \
-             ({speedup_hw:.1}x / {speedup_soft:.2}x over baseline)"
-        );
-        let comma = if i + 1 < SIZES.len() { "," } else { "" };
-        writeln!(
-            rows,
-            "    {{\"size_bytes\": {size}, \"seal_hw_mib_s\": {seal_hw:.1}, \
-             \"open_hw_mib_s\": {open_hw:.1}, \"seal_soft_mib_s\": {seal_soft:.1}, \
-             \"seal_baseline_mib_s\": {seal_baseline:.1}, \
-             \"seal_speedup_vs_baseline\": {speedup_hw:.2}}}{comma}"
-        )
-        .expect("string write");
+        results.push(vec![
+            ("size_bytes", num(size)),
+            ("seal_hw_mib_s", fixed(seal_hw, 1)),
+            ("open_hw_mib_s", fixed(open_hw, 1)),
+            ("seal_soft_mib_s", fixed(seal_soft, 1)),
+            ("seal_baseline_mib_s", fixed(seal_baseline, 1)),
+            ("seal_speedup_vs_baseline", fixed(speedup_hw, 2)),
+        ]);
     }
 
-    println!();
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let sweep = run_sweep(window, cores);
-    let mut sweep_rows = String::new();
-    for (i, row) in sweep.iter().enumerate() {
-        println!(
-            "{:>9} B  {} worker(s)  seal {:8.1} MiB/s  open {:8.1} MiB/s  \
-             wall {:8.1} MiB/s  ({:.2}x vs 1t)",
-            row.size,
-            row.workers,
-            row.seal_mib_s,
-            row.open_mib_s,
-            row.wall_seal_mib_s,
-            row.seal_speedup,
-        );
+    let batch = run_batch(window);
+
+    let hw = pipellm_crypto::hw::aes_available() && pipellm_crypto::hw::clmul_available();
+    let artifact = Artifact::new("bench", "crypto")
+        .header("unit", text("MiB/s"))
+        .header("hardware_accelerated", num(hw))
+        .section("results", Clock::Wall, &results, Vec::clone)
+        .section("thread_sweep", Clock::Wall, &sweep, |r| {
+            vec![
+                ("workers", num(r.workers)),
+                ("size_bytes", num(r.size)),
+                ("seal_mib_s", fixed(r.seal_mib_s, 1)),
+                ("open_mib_s", fixed(r.open_mib_s, 1)),
+                ("wall_seal_mib_s", fixed(r.wall_seal_mib_s, 1)),
+                ("seal_speedup_vs_1t", fixed(r.seal_speedup, 2)),
+                ("wall_speedup_vs_1t", fixed(r.wall_speedup, 2)),
+            ]
+        })
+        .section("batch", Clock::Wall, std::slice::from_ref(&batch), |b| {
+            vec![
+                ("count", num(BATCH_COUNT)),
+                ("msg_bytes", num(BATCH_MSG_BYTES)),
+                ("fused_seal_mib_s", fixed(b.fused_mib_s, 1)),
+                ("per_message_seal_mib_s", fixed(b.per_msg_mib_s, 1)),
+                ("fused_speedup", fixed(b.fused_speedup, 2)),
+            ]
+        });
+    print!("{}", artifact.tables());
+
+    for row in &sweep {
         // The engine must never lose seal throughput to its own chunking
         // overhead at the sizes the serving engines actually move.
         if row.size >= (1 << 20) && row.workers > 1 {
@@ -482,30 +488,8 @@ fn main() {
                 row.wall_speedup,
             );
         }
-        let comma = if i + 1 < sweep.len() { "," } else { "" };
-        writeln!(
-            sweep_rows,
-            "    {{\"workers\": {}, \"size_bytes\": {}, \"seal_mib_s\": {:.1}, \
-             \"open_mib_s\": {:.1}, \"wall_seal_mib_s\": {:.1}, \
-             \"seal_speedup_vs_1t\": {:.2}, \"wall_speedup_vs_1t\": {:.2}}}{}",
-            row.workers,
-            row.size,
-            row.seal_mib_s,
-            row.open_mib_s,
-            row.wall_seal_mib_s,
-            row.seal_speedup,
-            row.wall_speedup,
-            comma
-        )
-        .expect("string write");
     }
 
-    println!();
-    let batch = run_batch(window);
-    println!(
-        "batch {} x {} B  fused {:8.1} MiB/s  per-message {:8.1} MiB/s  ({:.1}x)",
-        batch.count, batch.msg_bytes, batch.fused_mib_s, batch.per_msg_mib_s, batch.fused_speedup,
-    );
     // On a host that can gang, the fused batch both eliminates the
     // per-message pool round trip AND shards the fused total across the
     // gang — ≥ 3x required. A single-core host only gets the dispatch
@@ -519,26 +503,7 @@ fn main() {
          on a {cores}-core host: got {:.2}x",
         batch.fused_speedup,
     );
-    let batch_json = format!(
-        "    {{\"count\": {}, \"msg_bytes\": {}, \"fused_seal_mib_s\": {:.1}, \
-         \"per_message_seal_mib_s\": {:.1}, \"fused_speedup\": {:.2}}}",
-        batch.count, batch.msg_bytes, batch.fused_mib_s, batch.per_msg_mib_s, batch.fused_speedup,
-    );
 
-    let hw = pipellm_crypto::hw::aes_available() && pipellm_crypto::hw::clmul_available();
-    let features = pipellm_crypto::hw::cpu_features()
-        .iter()
-        .map(|(name, present)| format!("\"{name}\": {present}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let json = format!(
-        "{{\n  \"bench\": \"crypto\",\n  \"unit\": \"MiB/s\",\n  \
-         \"hardware_accelerated\": {hw},\n  \"host_cores\": {cores},\n  \
-         \"cpu_features\": {{{features}}},\n  \
-         \"results\": [\n{rows}  ],\n  \
-         \"thread_sweep\": [\n{sweep_rows}  ],\n  \
-         \"batch\": [\n{batch_json}\n  ]\n}}\n"
-    );
-    std::fs::write(&out_path, json).expect("write benchmark JSON");
+    artifact.write(&out_path);
     println!("wrote {out_path}");
 }

@@ -23,7 +23,8 @@ fn main() {
     };
 
     let rows = kvcache::run(rates, duration_secs);
-    print!("{}", kvcache::to_table(&rows));
+    let artifact = kvcache::artifact(&rows);
+    print!("{}", artifact.tables());
 
     // The claims the artifact exists to track.
     for rate in rates {
@@ -55,7 +56,6 @@ fn main() {
         }
     }
 
-    let json = kvcache::to_json(&rows);
-    std::fs::write(&out_path, &json).expect("write benchmark artifact");
+    artifact.write(&out_path);
     println!("wrote {out_path}");
 }

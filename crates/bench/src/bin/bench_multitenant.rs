@@ -22,7 +22,8 @@ fn main() {
     };
 
     let rows = multitenant::run(counts, requests);
-    print!("{}", multitenant::to_table(&rows));
+    let artifact = multitenant::artifact(&rows);
+    print!("{}", artifact.tables());
 
     // The claims the artifact exists to track.
     for tenants in counts {
@@ -39,7 +40,6 @@ fn main() {
     }
     assert!(rows.iter().all(|r| r.lockstep), "counters out of lockstep");
 
-    let json = multitenant::to_json(&rows);
-    std::fs::write(&out_path, &json).expect("write benchmark artifact");
+    artifact.write(&out_path);
     println!("wrote {out_path}");
 }

@@ -19,7 +19,8 @@ fn main() {
 
     let stages: &[u32] = if smoke { &[1, 2, 4] } else { &[1, 2, 4, 8] };
     let rows = net::run(stages, smoke);
-    print!("{}", net::to_table(&rows));
+    let artifact = net::artifact(&rows);
+    print!("{}", artifact.tables());
 
     // The claims the artifact exists to track.
     assert!(
@@ -42,7 +43,6 @@ fn main() {
         );
     }
 
-    let json = net::to_json(&rows);
-    std::fs::write(&out_path, &json).expect("write benchmark artifact");
+    artifact.write(&out_path);
     println!("wrote {out_path}");
 }

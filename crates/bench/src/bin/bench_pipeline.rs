@@ -21,7 +21,8 @@ fn main() {
     let (micro_batches, iterations) = if smoke { (3, 2) } else { (6, 4) };
 
     let rows = pipeline::run(&stages, micro_batches, iterations);
-    print!("{}", pipeline::to_table(&rows));
+    let artifact = pipeline::artifact(&rows);
+    print!("{}", artifact.tables());
 
     // The claims the artifact exists to track.
     for &n in &stages {
@@ -45,7 +46,6 @@ fn main() {
         "edge counters out of lockstep"
     );
 
-    let json = pipeline::to_json(&rows);
-    std::fs::write(&out_path, &json).expect("write benchmark artifact");
+    artifact.write(&out_path);
     println!("wrote {out_path}");
 }

@@ -16,6 +16,7 @@
 //! - throughput degrades **gracefully**: recovery costs backoff and
 //!   restart time, not collapse.
 
+use crate::artifact::{fixed, num, text, Artifact, Clock};
 use pipellm_chaos::{ChaosInjector, FaultPlan};
 use pipellm_net::{
     run_supervised_duplex, run_supervised_tcp_threads, NetPipelineSpec, NetTuning,
@@ -24,7 +25,6 @@ use pipellm_net::{
 use pipellm_serving::engine::ServingEngine;
 use pipellm_serving::pipeline::{PipelineConfig, PipelineEngine, PipelineSystem};
 use pipellm_serving::resilience::ResilienceStats;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -286,164 +286,47 @@ pub fn run_net_kill(smoke: bool) -> Vec<NetKillRow> {
     rows
 }
 
-/// Serializes the networked kill rows (the `"net_kill"` JSON section).
-fn net_kill_json(rows: &[NetKillRow]) -> String {
-    let mut out = String::new();
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        writeln!(
-            out,
-            "    {{\"kill_rate\": {:.2}, \"transport\": \"{}\", \"wall_ms\": {:.3}, \
-             \"mb_per_sec\": {:.3}, \"detections\": {}, \"failovers\": {}, \
-             \"checkpoints\": {}, \"restores\": {}, \"stale_rejects\": {}, \
-             \"heartbeats\": {}, \"completed\": {}, \"bit_exact\": {}, \"lockstep\": {}}}{}",
-            row.kill_rate,
-            row.transport,
-            row.wall_ms,
-            row.mb_per_sec,
-            row.detections,
-            row.failovers,
-            row.checkpoints,
-            row.restores,
-            row.stale_rejects,
-            row.heartbeats,
-            row.completed,
-            row.bit_exact,
-            row.lockstep,
-            comma
-        )
-        .expect("writing to String cannot fail");
-    }
-    out
-}
-
-/// Pretty table of the networked kill sweep for stdout.
-pub fn net_kill_table(rows: &[NetKillRow]) -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "{:>5} {:<7} {:>10} {:>7} {:>9} {:>8} {:>8} {:>7} {:>9} {:>8}",
-        "kill",
-        "wire",
-        "wall ms",
-        "detect",
-        "failover",
-        "ckpts",
-        "restores",
-        "beats",
-        "bit_exact",
-        "lockstep"
-    )
-    .expect("writing to String cannot fail");
-    for row in rows {
-        writeln!(
-            out,
-            "{:>4.0}% {:<7} {:>10.2} {:>7} {:>9} {:>8} {:>8} {:>7} {:>9} {:>8}",
-            row.kill_rate * 100.0,
-            row.transport,
-            row.wall_ms,
-            row.detections,
-            row.failovers,
-            row.checkpoints,
-            row.restores,
-            row.heartbeats,
-            row.bit_exact,
-            row.lockstep,
-        )
-        .expect("writing to String cannot fail");
-    }
-    out
-}
-
-/// Serializes both sweeps as the `BENCH_chaos.json` artifact.
-pub fn artifact_json(rows: &[ChaosRow], net_kill: &[NetKillRow]) -> String {
-    let mut out = to_json(rows);
-    // Splice the net_kill section before the closing brace.
-    out.truncate(out.rfind("  ]\n}\n").expect("artifact has a rows array"));
-    out.push_str("  ],\n  \"net_kill\": [\n");
-    out.push_str(&net_kill_json(net_kill));
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Serializes rows as the `BENCH_chaos.json` artifact.
-pub fn to_json(rows: &[ChaosRow]) -> String {
-    let mut out = format!(
-        "{{\n  \"experiment\": \"chaos_fault_sweep\",\n  \
-         \"stages\": {STAGES},\n  \"chaos_seed\": {CHAOS_SEED},\n  \"rows\": [\n"
-    );
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let r = &row.resilience;
-        writeln!(
-            out,
-            "    {{\"fault_rate\": {:.2}, \"system\": \"{}\", \
-             \"mb_per_sec\": {:.3}, \"vs_clean\": {:.3}, \
-             \"faults_injected\": {}, \"retries\": {}, \"escalations\": {}, \
-             \"timeouts\": {}, \"stage_kills\": {}, \"session_churns\": {}, \
-             \"forced_rekeys\": {}, \"completed\": {}, \"bit_exact\": {}, \
-             \"lockstep\": {}}}{}",
-            row.fault_rate,
-            row.system,
-            row.mb_per_sec,
-            row.vs_clean,
-            row.faults_injected,
-            r.retries,
-            r.escalations,
-            r.timeouts,
-            r.stage_kills,
-            r.session_churns,
-            r.forced_rekeys,
-            row.completed,
-            row.bit_exact,
-            row.lockstep,
-            comma
-        )
-        .expect("writing to String cannot fail");
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Pretty table for stdout.
-pub fn to_table(rows: &[ChaosRow]) -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "{:>5} {:<8} {:>10} {:>9} {:>7} {:>8} {:>6} {:>6} {:>6} {:>9} {:>8}",
-        "rate",
-        "system",
-        "mb/s",
-        "vs clean",
-        "faults",
-        "retries",
-        "escal",
-        "t/out",
-        "kills",
-        "bit_exact",
-        "lockstep"
-    )
-    .expect("writing to String cannot fail");
-    for row in rows {
-        let r = &row.resilience;
-        writeln!(
-            out,
-            "{:>4.0}% {:<8} {:>10.1} {:>8.2}x {:>7} {:>8} {:>6} {:>6} {:>6} {:>9} {:>8}",
-            row.fault_rate * 100.0,
-            row.system,
-            row.mb_per_sec,
-            row.vs_clean,
-            row.faults_injected,
-            r.retries,
-            r.escalations,
-            r.timeouts,
-            r.stage_kills,
-            row.bit_exact,
-            row.lockstep,
-        )
-        .expect("writing to String cannot fail");
-    }
-    out
+/// The `BENCH_chaos.json` artifact: the simulated-clock fault sweep
+/// (`rows`) and the wall-clock networked kill sweep (`net_kill`).
+pub fn artifact(rows: &[ChaosRow], net_kill: &[NetKillRow]) -> Artifact {
+    Artifact::new("experiment", "chaos_fault_sweep")
+        .header("stages", num(STAGES))
+        .header("chaos_seed", num(CHAOS_SEED))
+        .section("rows", Clock::Sim, rows, |r| {
+            vec![
+                ("fault_rate", fixed(r.fault_rate, 2)),
+                ("system", text(&r.system)),
+                ("mb_per_sec", fixed(r.mb_per_sec, 3)),
+                ("vs_clean", fixed(r.vs_clean, 3)),
+                ("faults_injected", num(r.faults_injected)),
+                ("retries", num(r.resilience.retries)),
+                ("escalations", num(r.resilience.escalations)),
+                ("timeouts", num(r.resilience.timeouts)),
+                ("stage_kills", num(r.resilience.stage_kills)),
+                ("session_churns", num(r.resilience.session_churns)),
+                ("forced_rekeys", num(r.resilience.forced_rekeys)),
+                ("completed", num(r.completed)),
+                ("bit_exact", num(r.bit_exact)),
+                ("lockstep", num(r.lockstep)),
+            ]
+        })
+        .section("net_kill", Clock::Wall, net_kill, |r| {
+            vec![
+                ("kill_rate", fixed(r.kill_rate, 2)),
+                ("transport", text(&r.transport)),
+                ("wall_ms", fixed(r.wall_ms, 3)),
+                ("mb_per_sec", fixed(r.mb_per_sec, 3)),
+                ("detections", num(r.detections)),
+                ("failovers", num(r.failovers)),
+                ("checkpoints", num(r.checkpoints)),
+                ("restores", num(r.restores)),
+                ("stale_rejects", num(r.stale_rejects)),
+                ("heartbeats", num(r.heartbeats)),
+                ("completed", num(r.completed)),
+                ("bit_exact", num(r.bit_exact)),
+                ("lockstep", num(r.lockstep)),
+            ]
+        })
 }
 
 #[cfg(test)]
@@ -475,10 +358,10 @@ mod tests {
     #[test]
     fn json_artifact_is_well_formed() {
         let rows = run(2, 1);
-        let json = to_json(&rows);
+        let json = artifact(&rows, &[]).json();
         assert!(json.contains("\"experiment\": \"chaos_fault_sweep\""));
         assert_eq!(json.matches("\"fault_rate\":").count(), rows.len());
-        assert!(!to_table(&rows).is_empty());
+        assert!(!artifact(&rows, &[]).tables().is_empty());
     }
 
     #[test]
@@ -498,9 +381,9 @@ mod tests {
             rows.iter().any(|r| r.failovers > 0),
             "no kill landed across the whole sweep — chaos wiring is dead"
         );
-        let json = artifact_json(&run(2, 1), &rows);
+        let json = artifact(&run(2, 1), &rows).json();
         assert!(json.contains("\"net_kill\": ["));
         assert_eq!(json.matches("\"kill_rate\":").count(), rows.len());
-        assert!(!net_kill_table(&rows).is_empty());
+        assert!(!artifact(&[], &rows).tables().is_empty());
     }
 }

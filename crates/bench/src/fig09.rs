@@ -7,7 +7,7 @@
 //! native CC the GPU still idles for the (shorter) encryption on every
 //! swap-in.
 
-use crate::fig08::{run_one, Panel, SERVING_THREADS};
+use crate::fig08::{run_panel, Panel, SERVING_THREADS};
 use crate::runners::Scale;
 use crate::systems::System;
 use crate::table::Table;
@@ -36,30 +36,15 @@ pub fn panel() -> Panel {
 
 /// Runs the thread-count comparison.
 pub fn run(scale: Scale) -> Table {
-    let model = ModelSpec::opt_30b();
-    let p = panel();
-    let systems = default_systems();
-    let mut header: Vec<String> = vec!["rate req/s".to_string()];
-    header.extend(systems.iter().map(|s| format!("{} s/tok", s.label())));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut table = Table::new(
-        "Figure 9: vLLM OPT-30B Alpaca p=6 — CC-4t vs PipeLLM (2 threads)",
-        &header_refs,
-    );
-    for &rate in &p.rates {
-        let mut row = vec![format!("{rate:.2}")];
-        for system in &systems {
-            let report = run_one(system, &model, &p, rate, scale);
-            row.push(format!("{:.4}", report.norm_latency_s_per_token));
-        }
-        table.push(row);
-    }
+    let mut table = run_panel(&ModelSpec::opt_30b(), &panel(), &default_systems(), scale);
+    table.set_title("Figure 9: vLLM OPT-30B Alpaca p=6 — CC-4t vs PipeLLM (2 threads)");
     table
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fig08::run_one;
 
     #[test]
     fn pipelining_beats_brute_force_threads() {

@@ -15,12 +15,12 @@
 //! - the PipeLLM engine runs sessioned: its swap crypto lives in a
 //!   dedicated tenant session whose counters end in lockstep.
 
+use crate::artifact::{fixed, num, opt, text, Artifact, Clock};
 use crate::systems::System;
 use pipellm_gpu::runtime::SessionedRuntime;
 use pipellm_llm::ModelSpec;
 use pipellm_serving::{VllmConfig, VllmEngine};
 use pipellm_workloads::{Dataset, Request, TraceConfig};
-use std::fmt::Write as _;
 
 /// Parallel sampling width of the panel (the paper's hardest setting).
 const PARALLEL: u32 = 6;
@@ -135,63 +135,24 @@ pub fn run(rates: &[f64], duration_secs: f64) -> Vec<KvCacheRow> {
     rows
 }
 
-/// Serializes rows as the `BENCH_kvcache.json` artifact.
-pub fn to_json(rows: &[KvCacheRow]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"kvcache_swapping\",\n  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let opt_f = |v: Option<f64>| v.map_or("null".to_string(), |x| format!("{x:.4}"));
-        let opt_u = |v: Option<u64>| v.map_or("null".to_string(), |x| x.to_string());
-        let opt_b = |v: Option<bool>| v.map_or("null".to_string(), |x| x.to_string());
-        writeln!(
-            out,
-            "    {{\"rate_rps\": {}, \"system\": \"{}\", \
-             \"norm_latency_s_per_token\": {:.6}, \"vs_cc_off\": {:.3}, \
-             \"preemptions\": {}, \"sealed_pages\": {}, \
-             \"spec_hit_rate\": {}, \"pre_decrypt_rate\": {}, \
-             \"lockstep\": {}}}{}",
-            row.rate_rps,
-            row.system,
-            row.norm_latency_s_per_token,
-            row.vs_cc_off,
-            row.preemptions,
-            opt_u(row.sealed_pages),
-            opt_f(row.spec_hit_rate),
-            opt_f(row.pre_decrypt_rate),
-            opt_b(row.lockstep),
-            comma
-        )
-        .expect("writing to String cannot fail");
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Pretty table for stdout.
-pub fn to_table(rows: &[KvCacheRow]) -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "{:>6} {:<8} {:>12} {:>10} {:>8} {:>9} {:>9}",
-        "rate", "system", "s/token", "vs w/o CC", "preempt", "hit_rate", "pre_dec"
-    )
-    .expect("writing to String cannot fail");
-    for row in rows {
-        let pct = |v: Option<f64>| v.map_or("-".to_string(), |r| format!("{:.0}%", r * 100.0));
-        writeln!(
-            out,
-            "{:>6.2} {:<8} {:>12.6} {:>9.2}x {:>8} {:>9} {:>9}",
-            row.rate_rps,
-            row.system,
-            row.norm_latency_s_per_token,
-            row.vs_cc_off,
-            row.preemptions,
-            pct(row.spec_hit_rate),
-            pct(row.pre_decrypt_rate),
-        )
-        .expect("writing to String cannot fail");
-    }
-    out
+/// The `BENCH_kvcache.json` artifact: one simulated-clock row section.
+pub fn artifact(rows: &[KvCacheRow]) -> Artifact {
+    Artifact::new("experiment", "kvcache_swapping").section("rows", Clock::Sim, rows, |r| {
+        vec![
+            ("rate_rps", num(r.rate_rps)),
+            ("system", text(&r.system)),
+            (
+                "norm_latency_s_per_token",
+                fixed(r.norm_latency_s_per_token, 6),
+            ),
+            ("vs_cc_off", fixed(r.vs_cc_off, 3)),
+            ("preemptions", num(r.preemptions)),
+            ("sealed_pages", opt(r.sealed_pages)),
+            ("spec_hit_rate", fixed(r.spec_hit_rate, 4)),
+            ("pre_decrypt_rate", fixed(r.pre_decrypt_rate, 4)),
+            ("lockstep", opt(r.lockstep)),
+        ]
+    })
 }
 
 #[cfg(test)]
@@ -236,10 +197,10 @@ mod tests {
     #[test]
     fn json_artifact_is_well_formed() {
         let rows = run(&[0.8], 60.0);
-        let json = to_json(&rows);
+        let json = artifact(&rows).json();
         assert!(json.contains("\"experiment\": \"kvcache_swapping\""));
         assert!(json.contains("\"system\": \"PipeLLM\""));
         assert_eq!(json.matches("\"rate_rps\":").count(), rows.len());
-        assert!(!to_table(&rows).is_empty());
+        assert!(!artifact(&rows).tables().is_empty());
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! One module per table/figure of the paper's evaluation (§3, §7). Each
 //! module exposes a `run` function returning printable rows, so the same
-//! code drives the `fig*` binaries, the integration tests, and
-//! EXPERIMENTS.md. Absolute numbers come from the calibrated simulator
+//! code drives the `fig*` binaries, `all_experiments`, and the
+//! integration tests; the `bench_*` binaries write [`artifact`]s. Absolute
+//! numbers come from the calibrated simulator
 //! ([`pipellm_gpu::IoTimingModel`]); the claims under test are *shapes*:
 //! who wins, by what factor, and where the crossovers sit.
 
@@ -12,6 +13,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod ablations;
+pub mod artifact;
 pub mod chaos;
 pub mod fig02;
 pub mod fig03;

@@ -16,9 +16,9 @@
 //! - every session ends with its channel counters in lockstep, and under
 //!   PipeLLM every session reports its own speculation hits.
 
+use crate::artifact::{fixed, num, opt, text, Artifact, Clock};
 use crate::systems::System;
 use pipellm_serving::multitenant::{MultiTenantDriver, MultiTenantReport, TenantSpec};
-use std::fmt::Write as _;
 
 /// Device capacity for the experiment: small enough that the working sets
 /// matter, large enough that nothing thrashes.
@@ -129,62 +129,22 @@ pub fn run(counts: &[usize], requests: usize) -> Vec<MultiTenantRow> {
     rows
 }
 
-/// Serializes rows as the `BENCH_multitenant.json` artifact.
-pub fn to_json(rows: &[MultiTenantRow]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"multitenant_scaling\",\n  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let hit_rate = row
-            .spec_hit_rate
-            .map_or("null".to_string(), |r| format!("{r:.4}"));
-        let min_hits = row
-            .min_session_spec_hits
-            .map_or("null".to_string(), |h| h.to_string());
-        writeln!(
-            out,
-            "    {{\"tenants\": {}, \"system\": \"{}\", \
-             \"norm_latency_s_per_chunk\": {:.6}, \"vs_cc_off\": {:.3}, \
-             \"spec_hit_rate\": {}, \"min_session_spec_hits\": {}, \
-             \"lockstep\": {}}}{}",
-            row.tenants,
-            row.system,
-            row.norm_latency_s_per_chunk,
-            row.vs_cc_off,
-            hit_rate,
-            min_hits,
-            row.lockstep,
-            comma
-        )
-        .expect("writing to String cannot fail");
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Pretty table for stdout.
-pub fn to_table(rows: &[MultiTenantRow]) -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "{:>7} {:<8} {:>16} {:>10} {:>9} {:>9}",
-        "tenants", "system", "norm_lat(s/chk)", "vs w/o CC", "hit_rate", "lockstep"
-    )
-    .expect("writing to String cannot fail");
-    for row in rows {
-        writeln!(
-            out,
-            "{:>7} {:<8} {:>16.6} {:>9.2}x {:>9} {:>9}",
-            row.tenants,
-            row.system,
-            row.norm_latency_s_per_chunk,
-            row.vs_cc_off,
-            row.spec_hit_rate
-                .map_or("-".to_string(), |r| format!("{:.0}%", r * 100.0)),
-            row.lockstep,
-        )
-        .expect("writing to String cannot fail");
-    }
-    out
+/// The `BENCH_multitenant.json` artifact: one simulated-clock row section.
+pub fn artifact(rows: &[MultiTenantRow]) -> Artifact {
+    Artifact::new("experiment", "multitenant_scaling").section("rows", Clock::Sim, rows, |r| {
+        vec![
+            ("tenants", num(r.tenants)),
+            ("system", text(&r.system)),
+            (
+                "norm_latency_s_per_chunk",
+                fixed(r.norm_latency_s_per_chunk, 6),
+            ),
+            ("vs_cc_off", fixed(r.vs_cc_off, 3)),
+            ("spec_hit_rate", fixed(r.spec_hit_rate, 4)),
+            ("min_session_spec_hits", opt(r.min_session_spec_hits)),
+            ("lockstep", num(r.lockstep)),
+        ]
+    })
 }
 
 #[cfg(test)]
@@ -224,10 +184,10 @@ mod tests {
     #[test]
     fn json_artifact_is_well_formed() {
         let rows = run(&[1], 6);
-        let json = to_json(&rows);
+        let json = artifact(&rows).json();
         assert!(json.contains("\"experiment\": \"multitenant_scaling\""));
         assert!(json.contains("\"system\": \"PipeLLM\""));
         assert_eq!(json.matches("\"tenants\":").count(), rows.len());
-        assert!(!to_table(&rows).is_empty());
+        assert!(!artifact(&rows).tables().is_empty());
     }
 }

@@ -13,11 +13,11 @@
 //! - the duplex transport bounds the TCP overhead: the artifact records
 //!   the wall-clock ratio so the socket tax is tracked over time.
 
+use crate::artifact::{fixed, num, text, Artifact, Clock};
 use pipellm_net::{
     run_supervised_duplex, run_supervised_tcp_threads, NetPipelineSpec, NetReport,
     SupervisedOptions, SupervisedReport,
 };
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// Cluster seed: fixed so runs replay bit-identically.
@@ -103,59 +103,23 @@ pub fn run(stage_counts: &[u32], smoke: bool) -> Vec<NetRow> {
     rows
 }
 
-/// Serializes rows as the `BENCH_net.json` artifact.
-pub fn to_json(rows: &[NetRow]) -> String {
-    let mut out =
-        format!("{{\n  \"experiment\": \"net_stage_sweep\",\n  \"seed\": {SEED},\n  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        writeln!(
-            out,
-            "    {{\"stages\": {}, \"transport\": \"{}\", \"wall_ms\": {:.3}, \
-             \"mb_per_sec\": {:.3}, \"relayed_frames\": {}, \"retransmits\": {}, \
-             \"bit_exact\": {}, \"lockstep\": {}, \"output_digest\": {}}}{}",
-            row.stages,
-            row.transport,
-            row.wall_ms,
-            row.mb_per_sec,
-            row.relayed_frames,
-            row.retransmits,
-            row.bit_exact,
-            row.lockstep,
-            row.output_digest,
-            comma
-        )
-        .expect("writing to String cannot fail");
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Pretty table for stdout.
-pub fn to_table(rows: &[NetRow]) -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "{:>6} {:<7} {:>10} {:>10} {:>8} {:>8} {:>9} {:>8}",
-        "stages", "wire", "wall ms", "mb/s", "relayed", "retrans", "bit_exact", "lockstep"
-    )
-    .expect("writing to String cannot fail");
-    for row in rows {
-        writeln!(
-            out,
-            "{:>6} {:<7} {:>10.2} {:>10.2} {:>8} {:>8} {:>9} {:>8}",
-            row.stages,
-            row.transport,
-            row.wall_ms,
-            row.mb_per_sec,
-            row.relayed_frames,
-            row.retransmits,
-            row.bit_exact,
-            row.lockstep
-        )
-        .expect("writing to String cannot fail");
-    }
-    out
+/// The `BENCH_net.json` artifact: one wall-clock row section.
+pub fn artifact(rows: &[NetRow]) -> Artifact {
+    Artifact::new("experiment", "net_stage_sweep")
+        .header("seed", num(SEED))
+        .section("rows", Clock::Wall, rows, |r| {
+            vec![
+                ("stages", num(r.stages)),
+                ("transport", text(&r.transport)),
+                ("wall_ms", fixed(r.wall_ms, 3)),
+                ("mb_per_sec", fixed(r.mb_per_sec, 3)),
+                ("relayed_frames", num(r.relayed_frames)),
+                ("retransmits", num(r.retransmits)),
+                ("bit_exact", num(r.bit_exact)),
+                ("lockstep", num(r.lockstep)),
+                ("output_digest", num(r.output_digest)),
+            ]
+        })
 }
 
 #[cfg(test)]
@@ -174,7 +138,7 @@ mod tests {
     #[test]
     fn json_has_one_line_per_row() {
         let rows = run(&[1], true);
-        let json = to_json(&rows);
+        let json = artifact(&rows).json();
         assert_eq!(json.matches("\"transport\"").count(), rows.len());
     }
 }

@@ -14,9 +14,9 @@
 //!   rather than assumed constant;
 //! - every edge's channel counters end in lockstep for every session.
 
+use crate::artifact::{fixed, num, text, Artifact, Clock};
 use pipellm_serving::engine::ServingEngine;
 use pipellm_serving::pipeline::{PipelineConfig, PipelineEngine, PipelineSystem};
-use std::fmt::Write as _;
 
 /// One (stage count, system) measurement.
 #[derive(Debug, Clone)]
@@ -105,62 +105,21 @@ pub fn run(stage_counts: &[usize], micro_batches: usize, iterations: usize) -> V
     rows
 }
 
-/// Serializes rows as the `BENCH_pipeline.json` artifact.
-pub fn to_json(rows: &[PipelineRow]) -> String {
-    let mut out = format!(
-        "{{\n  \"experiment\": \"pipeline_stage_scaling\",\n  \
-         \"crypto_threads\": {CRYPTO_THREADS},\n  \"rows\": [\n"
-    );
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let hit_rate = row
-            .spec_hit_rate
-            .map_or("null".to_string(), |r| format!("{r:.4}"));
-        writeln!(
-            out,
-            "    {{\"stages\": {}, \"system\": \"{}\", \"mb_per_sec\": {:.3}, \
-             \"vs_cc_off\": {:.3}, \"spec_hit_rate\": {}, \
-             \"edge_serialization_s\": {:.6}, \"lockstep\": {}}}{}",
-            row.stages,
-            row.system,
-            row.mb_per_sec,
-            row.vs_cc_off,
-            hit_rate,
-            row.edge_serialization_s,
-            row.lockstep,
-            comma
-        )
-        .expect("writing to String cannot fail");
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Pretty table for stdout.
-pub fn to_table(rows: &[PipelineRow]) -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "{:>6} {:<8} {:>10} {:>10} {:>9} {:>14} {:>9}",
-        "stages", "system", "mb/s", "vs w/o CC", "hit_rate", "edge_crypto(s)", "lockstep"
-    )
-    .expect("writing to String cannot fail");
-    for row in rows {
-        writeln!(
-            out,
-            "{:>6} {:<8} {:>10.1} {:>9.2}x {:>9} {:>14.6} {:>9}",
-            row.stages,
-            row.system,
-            row.mb_per_sec,
-            row.vs_cc_off,
-            row.spec_hit_rate
-                .map_or("-".to_string(), |r| format!("{:.0}%", r * 100.0)),
-            row.edge_serialization_s,
-            row.lockstep,
-        )
-        .expect("writing to String cannot fail");
-    }
-    out
+/// The `BENCH_pipeline.json` artifact: one simulated-clock row section.
+pub fn artifact(rows: &[PipelineRow]) -> Artifact {
+    Artifact::new("experiment", "pipeline_stage_scaling")
+        .header("crypto_threads", num(CRYPTO_THREADS))
+        .section("rows", Clock::Sim, rows, |r| {
+            vec![
+                ("stages", num(r.stages)),
+                ("system", text(&r.system)),
+                ("mb_per_sec", fixed(r.mb_per_sec, 3)),
+                ("vs_cc_off", fixed(r.vs_cc_off, 3)),
+                ("spec_hit_rate", fixed(r.spec_hit_rate, 4)),
+                ("edge_serialization_s", fixed(r.edge_serialization_s, 6)),
+                ("lockstep", num(r.lockstep)),
+            ]
+        })
 }
 
 #[cfg(test)]
@@ -195,9 +154,9 @@ mod tests {
     #[test]
     fn json_artifact_is_well_formed() {
         let rows = run(&[1], 2, 1);
-        let json = to_json(&rows);
+        let json = artifact(&rows).json();
         assert!(json.contains("\"experiment\": \"pipeline_stage_scaling\""));
         assert_eq!(json.matches("\"stages\":").count(), rows.len());
-        assert!(!to_table(&rows).is_empty());
+        assert!(!artifact(&rows).tables().is_empty());
     }
 }

@@ -30,11 +30,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// The table title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     /// Replaces the table title (e.g. when a grid is reused by several
     /// figures).
     pub fn set_title(&mut self, title: impl Into<String>) {

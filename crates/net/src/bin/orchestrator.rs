@@ -20,56 +20,59 @@
 //! fault-free reference. Heartbeat and deadline tuning comes from `PIPELLM_*`
 //! environment variables ([`pipellm_net::NetTuning::from_env`]).
 
+use pipellm_net::cli::Args;
 use pipellm_net::{serve_supervised_tcp, NetPipelineSpec, NetTuning, SupervisedOptions};
 use std::net::TcpListener;
 use std::process::ExitCode;
 
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+const USAGE: &str = "pipellm-orchestrator --listen 127.0.0.1:7070 --stages 4 [--layers 8] \
+     [--iterations 2] [--micro-batches 2] [--activation-bytes 4096] [--seed 0x9e3779b9] \
+     [--fault-rate 0.0] [--worker-fault-rate 0.0] [--chaos-seed 0xC0A5]";
 
-fn parse_u64(s: &str) -> Result<u64, String> {
-    let parsed = if let Some(hex) = s.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16)
-    } else {
-        s.parse()
-    };
-    parsed.map_err(|_| format!("not a number: {s}"))
-}
+const FLAGS: &[&str] = &[
+    "--listen",
+    "--stages",
+    "--layers",
+    "--iterations",
+    "--micro-batches",
+    "--activation-bytes",
+    "--seed",
+    "--fault-rate",
+    "--worker-fault-rate",
+    "--chaos-seed",
+];
 
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let listen = arg_value(&args, "--listen").unwrap_or_else(|| "127.0.0.1:7070".to_string());
+    let args = Args::parse(&args, FLAGS, USAGE)?;
+    let listen = args.str("--listen").unwrap_or("127.0.0.1:7070").to_string();
     let mut spec = NetPipelineSpec::default();
-    if let Some(v) = arg_value(&args, "--stages") {
-        spec.stages = parse_u64(&v)? as u32;
+    if let Some(v) = args.u32("--stages")? {
+        spec.stages = v;
     }
-    if let Some(v) = arg_value(&args, "--layers") {
-        spec.layers = parse_u64(&v)? as u32;
+    if let Some(v) = args.u32("--layers")? {
+        spec.layers = v;
     }
-    if let Some(v) = arg_value(&args, "--iterations") {
-        spec.iterations = parse_u64(&v)? as u32;
+    if let Some(v) = args.u32("--iterations")? {
+        spec.iterations = v;
     }
-    if let Some(v) = arg_value(&args, "--micro-batches") {
-        spec.micro_batches = parse_u64(&v)? as u32;
+    if let Some(v) = args.u32("--micro-batches")? {
+        spec.micro_batches = v;
     }
-    if let Some(v) = arg_value(&args, "--activation-bytes") {
-        spec.activation_bytes = parse_u64(&v)? as usize;
+    if let Some(v) = args.usize("--activation-bytes")? {
+        spec.activation_bytes = v;
     }
-    if let Some(v) = arg_value(&args, "--seed") {
-        spec.seed = parse_u64(&v)?;
+    if let Some(v) = args.u64("--seed")? {
+        spec.seed = v;
     }
-    if let Some(v) = arg_value(&args, "--chaos-seed") {
-        spec.chaos_seed = parse_u64(&v)?;
+    if let Some(v) = args.u64("--chaos-seed")? {
+        spec.chaos_seed = v;
     }
-    if let Some(v) = arg_value(&args, "--fault-rate") {
-        spec.net_fault_rate = v.parse().map_err(|_| format!("not a rate: {v}"))?;
+    if let Some(v) = args.f64("--fault-rate")? {
+        spec.net_fault_rate = v;
     }
-    if let Some(v) = arg_value(&args, "--worker-fault-rate") {
-        spec.worker_fault_rate = v.parse().map_err(|_| format!("not a rate: {v}"))?;
+    if let Some(v) = args.f64("--worker-fault-rate")? {
+        spec.worker_fault_rate = v;
     }
     spec.validate().map_err(|e| e.to_string())?;
 

@@ -18,55 +18,41 @@
 
 use pipellm_chaos::{ChaosInjector, FaultPlan};
 use pipellm_crypto::session::derive_subseed;
+use pipellm_net::cli::Args;
 use pipellm_net::orchestrator::dial_worker_links;
 use pipellm_net::{run_worker, NetTuning, WorkerConfig};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+const USAGE: &str = "stage-worker --connect 127.0.0.1:7070 --stage 1 [--generation 0] \
+     [--fault-rate 0.0] [--worker-fault-rate 0.0] [--chaos-seed 0xC0A5] [--timeout-secs 30]";
 
-fn parse_u64(s: &str) -> Result<u64, String> {
-    let parsed = if let Some(hex) = s.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16)
-    } else {
-        s.parse()
-    };
-    parsed.map_err(|_| format!("not a number: {s}"))
-}
+const FLAGS: &[&str] = &[
+    "--connect",
+    "--stage",
+    "--generation",
+    "--fault-rate",
+    "--worker-fault-rate",
+    "--chaos-seed",
+    "--timeout-secs",
+];
 
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let connect = arg_value(&args, "--connect").unwrap_or_else(|| "127.0.0.1:7070".to_string());
-    let stage = match arg_value(&args, "--stage") {
-        Some(v) => parse_u64(&v)? as u32,
-        None => return Err("--stage is required".to_string()),
-    };
-    let timeout = match arg_value(&args, "--timeout-secs") {
-        Some(v) => Duration::from_secs(parse_u64(&v)?),
-        None => Duration::from_secs(30),
-    };
-    let generation = match arg_value(&args, "--generation") {
-        Some(v) => parse_u64(&v)? as u32,
-        None => 0,
-    };
-    let fault_rate: f64 = match arg_value(&args, "--fault-rate") {
-        Some(v) => v.parse().map_err(|_| format!("not a rate: {v}"))?,
-        None => 0.0,
-    };
-    let worker_fault_rate: f64 = match arg_value(&args, "--worker-fault-rate") {
-        Some(v) => v.parse().map_err(|_| format!("not a rate: {v}"))?,
-        None => 0.0,
-    };
-    let chaos_seed = match arg_value(&args, "--chaos-seed") {
-        Some(v) => parse_u64(&v)?,
-        None => 0xC0A5,
-    };
+    let args = Args::parse(&args, FLAGS, USAGE)?;
+    let connect = args
+        .str("--connect")
+        .unwrap_or("127.0.0.1:7070")
+        .to_string();
+    let stage = args
+        .u32("--stage")?
+        .ok_or_else(|| args.error("--stage is required"))?;
+    let timeout = Duration::from_secs(args.u64("--timeout-secs")?.unwrap_or(30));
+    let generation = args.u32("--generation")?.unwrap_or(0);
+    let fault_rate = args.f64("--fault-rate")?.unwrap_or(0.0);
+    let worker_fault_rate = args.f64("--worker-fault-rate")?.unwrap_or(0.0);
+    let chaos_seed = args.u64("--chaos-seed")?.unwrap_or(0xC0A5);
 
     let addr = connect
         .parse()

@@ -56,6 +56,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod checkpoint;
+pub mod cli;
 pub mod error;
 pub mod frame;
 pub mod link;
